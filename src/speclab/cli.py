@@ -81,6 +81,10 @@ def _ambient_dim(tag: EnsembleTag, n: int) -> int:
 
 
 def cmd_sample(args) -> int:
+    for flag, value in (("--n", args.n), ("--count", args.count)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     tag = EnsembleTag(args.ensemble)
     n = _ambient_dim(tag, args.n)
     started = _utcnow()

@@ -351,8 +351,8 @@ def run_moment_experiment(plan: ExperimentPlan, k_max: int, workers: int = 1):
                     ensemble=ensemble.value, n=n, k=k,
                     mean_re=float(mean.real), mean_im=float(mean.imag),
                     stderr=stderr,
-                    zero_consistent=amean <= 4.0 * stderr,
-                    bounded_consistent=amean <= 1.0 + 4.0 * stderr,
+                    zero_consistent=bool(amean <= 4.0 * stderr),
+                    bounded_consistent=bool(amean <= 1.0 + 4.0 * stderr),
                 )
             )
     return estimates

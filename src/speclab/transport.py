@@ -83,7 +83,12 @@ def wp_line(m1: EmpiricalMeasureLine, m2: EmpiricalMeasureLine, p: float = 1.0) 
 def _value_median(los: np.ndarray, his: np.ndarray, masses: np.ndarray) -> float:
     """Median of a mixture of uniform distributions on [lo_i, hi_i] with
     masses m_i; degenerate intervals count as point masses.  A nondegenerate
-    median interval is resolved to its midpoint."""
+    median interval is resolved to its midpoint.
+
+    One sorted sweep over the breakpoints: each segment adds its density
+    m_i / w_i at lo_i and removes it at hi_i, point masses add a jump at lo_i,
+    and a cumulative sum gives the mixture CDF at every breakpoint in
+    O(N log N) time and O(N) memory."""
     total = float(np.sum(masses))
     half = total / 2.0
     eps = 1e-12 * max(total, 1.0)
@@ -91,15 +96,19 @@ def _value_median(los: np.ndarray, his: np.ndarray, masses: np.ndarray) -> float
     pts = np.unique(np.concatenate([los, his]))
     widths = his - los
     flat = widths <= 0.0
-    safe_w = np.where(flat, 1.0, widths)
-    frac = np.clip((pts[:, None] - los[None, :]) / safe_w[None, :], 0.0, 1.0)
-    frac = np.where(flat[None, :], (pts[:, None] >= los[None, :]).astype(float), frac)
-    vals = frac @ masses  # cumulative mass at each breakpoint, nondecreasing
+    size = pts.size
+    rate = masses[~flat] / widths[~flat]
+    density_steps = (np.bincount(np.searchsorted(pts, los[~flat]), rate, size)
+                     - np.bincount(np.searchsorted(pts, his[~flat]), rate, size))
+    density = np.maximum(np.cumsum(density_steps)[:-1], 0.0)
+    jumps = np.bincount(np.searchsorted(pts, los[flat]), masses[flat], size)
+    # cumulative mass at each breakpoint, nondecreasing
+    vals = np.concatenate([[0.0], np.cumsum(density * np.diff(pts))]) + np.cumsum(jumps)
 
     i = int(np.searchsorted(vals, half))
     if i == 0:
         return float(pts[0])
-    if i >= pts.size:
+    if i >= size:
         return float(pts[-1])
     if vals[i] > half + eps:
         # the half-mass level is strictly inside a linear piece
@@ -107,9 +116,7 @@ def _value_median(los: np.ndarray, his: np.ndarray, masses: np.ndarray) -> float
         fa, fb = vals[i - 1], vals[i]
         return float(a + (half - fa) / (fb - fa) * (b - a))
     # cdf hits half at pts[i]; the median set extends to the last flat point
-    j = i
-    while j + 1 < pts.size and vals[j + 1] <= half + eps:
-        j += 1
+    j = int(np.searchsorted(vals, half + eps, side="right")) - 1
     return float((pts[i] + pts[j]) / 2.0)
 
 

@@ -57,6 +57,19 @@ class TestSample:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--count"])
+    def test_nonpositive_size_exits_2(self, tmp_path, capsys, flag):
+        argv = {"--n": "4", "--count": "2"}
+        argv[flag] = "0"
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sample", "--ensemble", "unitary",
+                               "--n", argv["--n"], "--count", argv["--count"],
+                               "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDistance:
     def test_roots_vs_uniform(self, tmp_path, capsys):
@@ -165,6 +178,18 @@ class TestExperiment:
                                "--out", str(tmp_path / "out"))
         assert code == 2
         assert err
+
+    def test_moments_plan_writes_summary(self, tmp_path, capsys):
+        plan = write_plan(tmp_path / "plan.json", n_grid=[4, 6, 8], moments_kmax=2)
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                               "--out", str(outdir))
+        assert code == 0, err
+        moments = json.loads((outdir / "summary.json").read_text())["moments"]
+        assert [(m["n"], m["k"]) for m in moments] == [(4, 1), (4, 2), (6, 1), (6, 2),
+                                                      (8, 1), (8, 2)]
+        assert all(isinstance(m["zero_consistent"], bool) for m in moments)
+        assert run_cli(capsys, "manifest-check", str(outdir))[0] == 0
 
     def test_summary_written(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json")

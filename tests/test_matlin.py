@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from speclab import matlin
-from speclab.errors import ContractError, DegenerateInputError
+from speclab.ensembles import haar_so, haar_so_minus, haar_unitary, sample_cse
+from speclab.errors import ContractError, DegenerateInputError, NumericalFailureError
 from speclab.matlin import (
     ComplexMatrix,
     HermitianView,
@@ -16,6 +17,7 @@ from speclab.matlin import (
     spectral_diameter,
     unitary,
 )
+from speclab.rng import StreamKey
 
 TWO_PI = 2 * np.pi
 
@@ -29,6 +31,39 @@ def random_unitary(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = qr_positive(ComplexMatrix(g))
     return q
+
+
+def planted_unitary(rng, angles):
+    v = random_unitary(rng, len(angles)).entries
+    return unitary(v @ np.diag(np.exp(1j * np.asarray(angles))) @ v.conj().T)
+
+
+def circular_gap(got, want):
+    """Largest angle difference between two multisets on the circle, matched
+    in sorted order after cutting the circle in the widest gap of `want`."""
+    ring = np.sort(want)
+    widths = np.diff(ring, append=ring[0] + TWO_PI)
+    cut = ring[np.argmax(widths)] + np.max(widths) / 2
+    return np.max(np.abs(np.sort(np.mod(got - cut, TWO_PI))
+                         - np.sort(np.mod(want - cut, TWO_PI))))
+
+
+def geodesic_to(angles, target):
+    d = np.abs(np.mod(np.asarray(angles) - target, TWO_PI))
+    return np.minimum(d, TWO_PI - d)
+
+
+def cayley_shifts_used(monkeypatch):
+    """Record the shift of every Cayley solve eig_unitary_angles makes."""
+    shifts = []
+    solve = matlin._cayley_angles
+
+    def recording(a, alpha):
+        shifts.append(alpha)
+        return solve(a, alpha)
+
+    monkeypatch.setattr(matlin, "_cayley_angles", recording)
+    return shifts
 
 
 class TestConstructors:
@@ -145,8 +180,9 @@ class TestEigHermitian:
 
 class TestEigUnitaryAngles:
     def test_identity(self):
-        ang = eig_unitary_angles(unitary(np.eye(4))).angles
-        assert np.allclose(ang, 0.0)
+        # roundoff just below 2*pi folds to exactly 0
+        for n in (1, 2, 4, 7, 64):
+            assert np.all(eig_unitary_angles(unitary(np.eye(n))).angles == 0.0)
 
     def test_diag_i_minus_one(self):
         ang = eig_unitary_angles(unitary(np.diag([1j, -1.0]))).angles
@@ -168,3 +204,97 @@ class TestEigUnitaryAngles:
             diff = np.abs(np.sort(got) - target)
             diff = np.minimum(diff, TWO_PI - diff)
             assert np.max(diff) < 1e-8
+
+
+class TestCayleyEdgeCases:
+    FIRST_POLE = np.pi - matlin.CAYLEY_SHIFTS[0]
+
+    def test_eigenvalue_exactly_at_first_pole_diagonal(self, monkeypatch):
+        shifts = cayley_shifts_used(monkeypatch)
+        target = np.array([self.FIRST_POLE, 0.4, 3.0, 5.0])
+        got = eig_unitary_angles(unitary(np.diag(np.exp(1j * target)))).angles
+        assert circular_gap(got, target) < 1e-12
+        assert shifts[0] == matlin.CAYLEY_SHIFTS[0]
+
+    @pytest.mark.parametrize("failure", ["singular", "overflow"])
+    def test_failed_first_solve_uses_second_shift(self, monkeypatch, failure):
+        solve = np.linalg.solve
+        calls = []
+
+        def failing_once(a, b):
+            calls.append(1)
+            if len(calls) > 1:
+                return solve(a, b)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.inf)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_once)
+        shifts = cayley_shifts_used(monkeypatch)
+        target = np.array([0.4, 1.0, 3.0, 5.0])
+        got = eig_unitary_angles(planted_unitary(np.random.default_rng(20), target)).angles
+        assert circular_gap(got, target) < 1e-12
+        assert shifts == list(matlin.CAYLEY_SHIFTS)
+
+    def test_eigenvalue_exactly_at_first_pole_dense(self, monkeypatch):
+        shifts = cayley_shifts_used(monkeypatch)
+        rng = np.random.default_rng(21)
+        target = np.concatenate([[self.FIRST_POLE], rng.uniform(0, TWO_PI, 15)])
+        got = eig_unitary_angles(planted_unitary(rng, target)).angles
+        assert circular_gap(got, target) < 1e-12
+        # the first pass saw an angle on the pole and moved it
+        assert len(shifts) == 2
+        assert shifts[1] not in matlin.CAYLEY_SHIFTS
+
+    def test_near_pole_reshift_keeps_accuracy(self, monkeypatch):
+        shifts = cayley_shifts_used(monkeypatch)
+        rng = np.random.default_rng(22)
+        n = 64
+        target = np.concatenate([[self.FIRST_POLE + 1e-4 / n], rng.uniform(0, TWO_PI, n - 1)])
+        got = eig_unitary_angles(planted_unitary(rng, target)).angles
+        assert len(shifts) == 2
+        assert circular_gap(got, target) < 1e-12
+
+    def test_quarter_turns_exact(self):
+        target = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2] * 3)
+        ang = eig_unitary_angles(unitary(np.diag(np.exp(1j * target)))).angles
+        assert circular_gap(ang, target) < 1e-14
+
+    def test_so_odd_fixed_one(self):
+        for r in range(20):
+            n = 2 * (r % 4) + 3
+            ang = eig_unitary_angles(haar_so(n, StreamKey(31, "so", n, r))).angles
+            assert np.min(geodesic_to(ang, 0.0)) < 1e-12
+            assert circular_gap(ang, np.mod(-ang, TWO_PI)) < 1e-12
+
+    def test_so_minus_fixed_eigenvalues(self):
+        for r in range(20):
+            n = r % 7 + 2
+            ang = eig_unitary_angles(haar_so_minus(n, StreamKey(32, "so_minus", n, r))).angles
+            assert np.min(geodesic_to(ang, np.pi)) < 1e-12
+            if n % 2 == 0:
+                assert np.min(geodesic_to(ang, 0.0)) < 1e-12
+            assert circular_gap(ang, np.mod(-ang, TWO_PI)) < 1e-12
+
+    def test_cse_kramers_doublets(self):
+        for r in range(20):
+            ang = eig_unitary_angles(sample_cse(8, StreamKey(33, "cse", 16, r))).angles
+            cut = ang[np.argmax(np.diff(ang, append=ang[0] + TWO_PI))]
+            pairs = np.sort(np.mod(ang - cut - 1e-3, TWO_PI)).reshape(-1, 2)
+            assert np.max(pairs[:, 1] - pairs[:, 0]) < 1e-12
+
+    def test_matches_general_eigensolver_at_n256(self):
+        for r in range(3):
+            u = haar_unitary(256, StreamKey(34, "unitary", 256, r))
+            want = np.mod(np.angle(np.linalg.eigvals(u.entries)), TWO_PI)
+            assert circular_gap(eig_unitary_angles(u).angles, want) < 1e-12
+
+    def test_non_unitary_input_rejected(self):
+        for bad in (2 * np.eye(3), [[1.0, 1.0], [0.0, 1.0]], np.diag([1.0, 1j * 1.001])):
+            with pytest.raises(ContractError):
+                eig_unitary_angles(unitary(bad))
+            # a view that skipped its own check still fails in the eigensolver
+            forged = object.__new__(UnitaryView)
+            forged.inner = ComplexMatrix(bad)
+            with pytest.raises((NumericalFailureError, ContractError)):
+                eig_unitary_angles(forged)

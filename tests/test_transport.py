@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speclab.ensembles import gue_wigner
@@ -8,6 +8,7 @@ from speclab.errors import ContractError, SizeGuardError
 from speclab.matlin import eig_hermitian, hs_norm
 from speclab.measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from speclab.rng import StreamKey
+from speclab import transport
 from speclab.transport import (
     Algorithm,
     GroundMetric,
@@ -101,6 +102,96 @@ class TestCircleUniform:
         proxy = EmpiricalMeasureCircle(TWO_PI * (np.arange(1000) + 0.5) / 1000)
         approx = w1_circle_pair(roots, proxy).value
         assert approx == pytest.approx(np.pi / (2 * n), abs=2e-3)
+
+
+def quadratic_value_median(los, his, masses):
+    """Reference median of a mixture of uniforms: the cumulative mass at every
+    breakpoint from a dense (breakpoints x segments) matrix, O(N^2) memory."""
+    total = float(np.sum(masses))
+    half = total / 2.0
+    eps = 1e-12 * max(total, 1.0)
+
+    pts = np.unique(np.concatenate([los, his]))
+    widths = his - los
+    flat = widths <= 0.0
+    safe_w = np.where(flat, 1.0, widths)
+    frac = np.clip((pts[:, None] - los[None, :]) / safe_w[None, :], 0.0, 1.0)
+    frac = np.where(flat[None, :], (pts[:, None] >= los[None, :]).astype(float), frac)
+    vals = frac @ masses
+
+    i = int(np.searchsorted(vals, half))
+    if i == 0:
+        return float(pts[0])
+    if i >= pts.size:
+        return float(pts[-1])
+    if vals[i] > half + eps:
+        a, b = pts[i - 1], pts[i]
+        fa, fb = vals[i - 1], vals[i]
+        return float(a + (half - fa) / (fb - fa) * (b - a))
+    j = i
+    while j + 1 < pts.size and vals[j + 1] <= half + eps:
+        j += 1
+    return float((pts[i] + pts[j]) / 2.0)
+
+
+class TestCircleUniformSweep:
+    """The O(N log N) breakpoint sweep against the quadratic reference."""
+
+    @given(
+        n=st.integers(1, 2000),
+        kind=st.sampled_from(["uniform", "tied", "zero", "roots"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2000, kind="uniform", seed=0)
+    @example(n=2000, kind="tied", seed=1)
+    @example(n=2000, kind="roots", seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quadratic_median(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            atoms = rng.uniform(0, TWO_PI, n)
+        elif kind == "tied":
+            atoms = np.mod(np.round(rng.uniform(0, TWO_PI, n), 1), TWO_PI)
+        elif kind == "zero":
+            atoms = np.zeros(n)
+        else:
+            atoms = TWO_PI * np.arange(n) / n
+        m = EmpiricalMeasureCircle(atoms)
+        lengths, g_left, g_right = transport._circle_cdf_segments(m.atoms)
+        fast_c = transport._value_median(g_right, g_left, lengths)
+        slow_c = quadratic_value_median(g_right, g_left, lengths)
+        assert fast_c == pytest.approx(slow_c, abs=1e-12)
+        fast = w1_circle_uniform(m).value
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_value_median", quadratic_value_median)
+            slow = w1_circle_uniform(m).value
+        assert fast == pytest.approx(slow, abs=1e-12)
+
+    @given(
+        los=st.lists(st.floats(-5, 5).map(lambda x: round(x, 1)), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mixtures_with_point_masses(self, los, data):
+        k = len(los)
+        widths = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5]),
+                                    min_size=k, max_size=k))
+        masses = data.draw(st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k))
+        lo, w, ms = np.array(los), np.array(widths), np.array(masses)
+        fast = transport._value_median(lo, lo + w, ms)
+        slow = quadratic_value_median(lo, lo + w, ms)
+        assert fast == pytest.approx(slow, abs=1e-12)
+
+    def test_hundred_thousand_atoms(self):
+        n = 100_000
+        atoms = TWO_PI * (np.arange(n) + 0.5) / n
+        # equally spaced atoms, offset by half a spacing: W1 = pi / (2n)
+        assert w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value == pytest.approx(
+            np.pi / (2 * n), abs=1e-12
+        )
+        rng = np.random.default_rng(9)
+        value = w1_circle_uniform(EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))).value
+        assert 0.0 < value < 0.05
 
 
 class TestCirclePair:
