@@ -208,6 +208,14 @@ def cmd_distance(args) -> int:
 PLAN_FIELDS = {"ensemble", "n_grid", "replicates", "seed", "k_rule", "t_grid", "moments_kmax"}
 
 
+def _plan_value(name: str, convert, value):
+    """``convert(value)``, with a failure reported against the plan key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"/{name}: {exc}") from exc
+
+
 def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -221,24 +229,29 @@ def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
         raise ContractError(f"/{sorted(unknown)[0]}: unknown field")
     if not isinstance(raw["n_grid"], list) or not raw["n_grid"]:
         raise ContractError("/n_grid: must be a nonempty array of integers")
-    seed = raw["seed"]
-    env = os.environ.get("SPECLAB_SEED")
-    if env is not None:
-        seed = int(env)
     if seed_override is not None:
         seed = seed_override
-    try:
-        return ExperimentPlan(
-            ensemble=EnsembleTag(raw["ensemble"]),
-            n_grid=tuple(raw["n_grid"]),
-            replicates=int(raw["replicates"]),
-            master_seed=int(seed),
-            k_rule=raw.get("k_rule"),
-            t_grid=tuple(raw["t_grid"]) if raw.get("t_grid") else None,
-            moments_kmax=raw.get("moments_kmax"),
-        )
-    except ValueError as exc:
-        raise ContractError(f"/ensemble: {exc}") from exc
+    elif (env := os.environ.get("SPECLAB_SEED")) is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ContractError(f"SPECLAB_SEED must be an integer, got {env!r}") from None
+    else:
+        seed = _plan_value("seed", int, raw["seed"])
+
+    def optional(name, convert):
+        value = raw.get(name)
+        return None if value is None else _plan_value(name, convert, value)
+
+    return ExperimentPlan(
+        ensemble=_plan_value("ensemble", EnsembleTag, raw["ensemble"]),
+        n_grid=_plan_value("n_grid", lambda grid: tuple(int(n) for n in grid), raw["n_grid"]),
+        replicates=_plan_value("replicates", int, raw["replicates"]),
+        master_seed=seed,
+        k_rule=optional("k_rule", str),
+        t_grid=optional("t_grid", lambda ts: tuple(float(t) for t in ts) or None),
+        moments_kmax=optional("moments_kmax", int),
+    )
 
 
 def canonical_plan_dict(plan: ExperimentPlan) -> dict:

@@ -257,9 +257,14 @@ def sample_compression(n: int, k: int, key: StreamKey) -> HermitianView:
     return compress(a, u, k)
 
 
-def sample_randomized_sum(n: int, key: StreamKey) -> HermitianView:
-    """Randomized sum of two independent GUE Wigner matrices."""
+def randomized_sum_factors(n: int, key: StreamKey):
+    """The independent GUE Wigner A and B and Haar U of one randomized sum."""
     a = gue_wigner(n, subkey(key, "a"))
     b = gue_wigner(n, subkey(key, "b"))
     u = haar_unitary(n, subkey(key, "u"))
-    return randomized_sum(a, b, u)
+    return a, b, u
+
+
+def sample_randomized_sum(n: int, key: StreamKey) -> HermitianView:
+    """Randomized sum of two independent GUE Wigner matrices."""
+    return randomized_sum(*randomized_sum_factors(n, key))

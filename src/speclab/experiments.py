@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .ensembles import (
     CIRCLE_TAGS,
@@ -22,6 +21,7 @@ from .ensembles import (
     haar_su,
     haar_unitary,
     randomized_sum,
+    randomized_sum_factors,
     sample_circle_ensemble,
     sample_compression,
     sample_randomized_sum,
@@ -55,6 +55,12 @@ class ExperimentPlan:
         object.__setattr__(self, "n_grid", grid)
         if self.replicates < 2:
             raise ContractError("need at least 2 replicates")
+        if self.moments_kmax:
+            if self.ensemble not in CIRCLE_TAGS:
+                raise ContractError("moments_kmax applies to circle ensembles only")
+            if self.moments_kmax >= grid[0]:
+                raise ContractError(f"moment order must satisfy k < n, got "
+                                    f"moments_kmax={self.moments_kmax}, min(n_grid)={grid[0]}")
         if self.t_grid is not None:
             object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.k_rule is not None and self.k_rule != "half":
@@ -153,12 +159,17 @@ def fit_loglog(points) -> RateFitResult:
         raise ContractError("rate fits need strictly positive data")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
-    res = stats.linregress(lx, ly)
+    if lx.min() == lx.max():
+        raise ContractError("rate fits need at least two distinct x values")
+    # scipy.stats.linregress's formulas, so the fit matches it bit for bit
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0) if ssym else np.nan
+    slope = ssxym / ssxm
     return RateFitResult(
-        slope=float(res.slope),
-        intercept=float(res.intercept),
-        slope_stderr=float(res.stderr),
-        r_squared=float(res.rvalue**2),
+        slope=float(slope),
+        intercept=float(np.mean(ly) - slope * np.mean(lx)),
+        slope_stderr=float(np.sqrt((1 - r**2) * ssym / ssxm / (len(pts) - 2))),
+        r_squared=float(r**2),
         n_used=len(pts),
     )
 
@@ -265,13 +276,19 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
             values = []
             for r in range(m, 2 * m):
                 key = StreamKey(plan.master_seed, ensemble.value, n, r)
-                sample = _line_model_sample(ensemble, n, k, key)
+                if ensemble is EnsembleTag.RANDOMIZED_SUM:
+                    # one draw and one eigensolve of the sum serve d1 and Weyl
+                    a, b, u = randomized_sum_factors(n, key)
+                    em = eig_hermitian(randomized_sum(a, b, u)).values
+                    sample = EmpiricalMeasureLine(em)
+                    weyl = _weyl_violation(eig_hermitian(a).values, eig_hermitian(b).values, em)
+                else:
+                    sample, weyl = _line_model_sample(ensemble, n, k, key), None
                 v = _d1_to_pooled(sample, pooled.atoms)
                 values.append(v)
                 records.append(SummaryRecord(ensemble.value, n, r, "d1", v, key))
-                if ensemble is EnsembleTag.RANDOMIZED_SUM:
-                    w = _weyl_violation(n, key)
-                    records.append(SummaryRecord(ensemble.value, n, r, "weyl_violation", w, key))
+                if weyl is not None:
+                    records.append(SummaryRecord(ensemble.value, n, r, "weyl_violation", weyl, key))
             x = k * n if ensemble is EnsembleTag.COMPRESSION else n
         summaries.append(_summarize(n, x, values))
 
@@ -283,16 +300,9 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
     return RateExperimentResult(tuple(summaries), fit, tuple(records), tuple(warnings))
 
 
-def _weyl_violation(n: int, key: StreamKey) -> float:
-    """1.0 if the randomized-sum spectrum escapes the Weyl interval
+def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray) -> float:
+    """1.0 if the sorted spectrum em of U A U* + B escapes the Weyl interval
     [min(A)+min(B), max(A)+max(B)] by more than the slack, else 0.0."""
-    a = gue_wigner(n, subkey(key, "a"))
-    b = gue_wigner(n, subkey(key, "b"))
-    u = haar_unitary(n, subkey(key, "u"))
-    mm = randomized_sum(a, b, u)
-    ea = eig_hermitian(a).values
-    eb = eig_hermitian(b).values
-    em = eig_hermitian(mm).values
     slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
     lo, hi = ea[0] + eb[0] - slack, ea[-1] + eb[-1] + slack
     return 0.0 if (em[0] >= lo and em[-1] <= hi) else 1.0
@@ -385,6 +395,8 @@ def run_identdist_experiment(n: int, replicates: int, seed: int,
         circle_distance_stat(ensemble_b, nb, StreamKey(seed, ensemble_b.value, nb, r))
         for r in range(replicates)
     ])
+    from scipy import stats
+
     stat = float(stats.ks_2samp(xs, ys, method="asymp").statistic)
     crit = two_sample_ks_critical(xs.size, ys.size, level=0.01)
     return IdentDistResult(ks_statistic=stat, critical_value=crit,
@@ -416,9 +428,7 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
     for t in range(trials):
         n = int(rng.integers(2, n_max + 1))
         key = StreamKey(seed, "lipschitz_suite", n, t)
-        a = gue_wigner(n, subkey(key, "a"))
-        b = gue_wigner(n, subkey(key, "b"))
-        u = haar_unitary(n, subkey(key, "u"))
+        a, b, u = randomized_sum_factors(n, key)
         v = haar_unitary(n, subkey(key, "v"))
 
         ea, eb = eig_hermitian(a).values, eig_hermitian(b).values

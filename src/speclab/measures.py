@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ContractError
 from .matlin import (
@@ -190,6 +189,8 @@ class PiecewiseLinearTestFunction:
 
     def integral_semicircle(self, tol: float = 1e-10) -> float:
         """Integral against the semicircle density by adaptive quadrature."""
+        from scipy import integrate
+
         lo, hi = SemicircleReference.support
         pts = self.knots[(self.knots > lo) & (self.knots < hi)]
         val, _ = integrate.quad(

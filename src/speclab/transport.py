@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError, SizeGuardError
 from .matlin import TWO_PI
@@ -105,7 +103,9 @@ def _value_median(los: np.ndarray, his: np.ndarray, masses: np.ndarray) -> float
     # cumulative mass at each breakpoint, nondecreasing
     vals = np.concatenate([[0.0], np.cumsum(density * np.diff(pts))]) + np.cumsum(jumps)
 
-    i = int(np.searchsorted(vals, half))
+    # the cumulative sums round, so a breakpoint within eps below half
+    # reaches the half-mass level
+    i = int(np.searchsorted(vals, half - eps))
     if i == 0:
         return float(pts[0])
     if i >= size:
@@ -200,6 +200,8 @@ def w1_line_vs_cdf(
 ) -> DistanceResult:
     """W1 between an empirical line measure and a continuous reference CDF,
     via the identity W1 = integral of |F_m - F_ref|."""
+    from scipy import integrate
+
     atoms = m.atoms
     n = atoms.size
     lo, hi = support
@@ -251,6 +253,8 @@ def assignment_oracle(m1, m2, metric: GroundMetric, p: float = 1.0) -> DistanceR
         cost = chordal_distance(x, y)
     else:
         raise ContractError(f"unknown metric {metric}")
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost**p)
     value = float((np.sum(cost[rows, cols] ** p) / n) ** (1.0 / p))
     return DistanceResult(value, p, metric, Algorithm.ASSIGNMENT_ORACLE)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -179,6 +182,42 @@ class TestExperiment:
         assert code == 2
         assert err
 
+    def test_non_integer_seed_variable_exits_2(self, tmp_path, capsys, monkeypatch):
+        plan = write_plan(tmp_path / "plan.json")
+        monkeypatch.setenv("SPECLAB_SEED", "abc")
+        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                                 "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "SPECLAB_SEED" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("replicates", "ten"), ("replicates", float("inf")), ("n_grid", [4, "eight"]),
+        ("seed", "x"), ("ensemble", "nonsense"), ("t_grid", 0.5), ("moments_kmax", "two"),
+    ])
+    def test_plan_error_names_its_key(self, tmp_path, capsys, key, value):
+        plan = write_plan(tmp_path / "plan.json", **{key: value})
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith(f"error: invalid plan: /{key}:")
+
+    @pytest.mark.parametrize("ensemble,k_max,message", [
+        ("unitary", 4, "moments_kmax=4"), ("gue_wigner", 2, "circle ensembles"),
+    ])
+    def test_bad_moments_plan_exits_2_before_sampling(self, tmp_path, capsys,
+                                                      ensemble, k_max, message):
+        plan = write_plan(tmp_path / "plan.json", ensemble=ensemble, n_grid=[4, 6, 8],
+                          moments_kmax=k_max)
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                               "--out", str(outdir))
+        assert code == 2
+        assert message in err
+        assert not outdir.exists()
+
     def test_moments_plan_writes_summary(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json", n_grid=[4, 6, 8], moments_kmax=2)
         outdir = tmp_path / "run"
@@ -218,3 +257,41 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "group-membership",
                                "--trials", "20", "--seed", "3")
         assert code == 0
+
+
+SCIPY_GUARD = textwrap.dedent("""
+    import json, os, sys
+    import speclab.cli as cli
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    out = sys.argv[1]
+    loaded = {"import": scipy_modules()}
+    assert cli.main(["sample", "--ensemble", "unitary", "--n", "4", "--count", "3",
+                     "--out", os.path.join(out, "u.csv")]) == 0
+    loaded["sample"] = scipy_modules()
+    assert cli.main(["distance", "--input", os.path.join(out, "u.csv"),
+                     "--reference", "uniform-circle"]) == 0
+    loaded["distance"] = scipy_modules()
+    with open(os.path.join(out, "plan.json"), "w") as fh:
+        json.dump({"ensemble": "unitary", "n_grid": [2, 3, 4], "replicates": 2,
+                   "seed": 1}, fh)
+    assert cli.main(["experiment", "--plan", os.path.join(out, "plan.json"),
+                     "--out", os.path.join(out, "run")]) == 0
+    loaded["experiment"] = scipy_modules()
+    print(json.dumps(loaded))
+""")
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # scipy costs about a second to import; commands that never reach
+    # quadrature, the assignment oracle or the KS test must not pay for it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "sample": [], "distance": [], "experiment": []}

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speclab.ensembles import EnsembleTag
+from speclab.ensembles import EnsembleTag, sample_randomized_sum
 from speclab.errors import ContractError
 from speclab.experiments import (
     ExperimentPlan,
+    _d1_to_pooled,
     fit_loglog,
     run_concentration_experiment,
     run_identdist_experiment,
@@ -14,6 +17,8 @@ from speclab.experiments import (
     two_sample_ks_critical,
     wilson_interval,
 )
+from speclab.measures import esd_line, pool
+from speclab.rng import StreamKey
 
 SEED = 1234
 
@@ -39,6 +44,19 @@ class TestPlan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractError):
             ExperimentPlan(EnsembleTag.UNITARY, (), 4, SEED)
+
+    @pytest.mark.parametrize("k_max", [8, 9])
+    def test_moment_order_must_stay_below_smallest_n(self, k_max):
+        with pytest.raises(ContractError, match="moments_kmax"):
+            ExperimentPlan(EnsembleTag.UNITARY, (8, 16), 4, SEED, moments_kmax=k_max)
+
+    def test_moments_rejected_for_line_ensembles(self):
+        with pytest.raises(ContractError, match="circle ensembles"):
+            ExperimentPlan(EnsembleTag.GUE_WIGNER, (8, 16), 4, SEED, moments_kmax=2)
+
+    def test_moment_order_below_smallest_n_accepted(self):
+        plan = ExperimentPlan(EnsembleTag.UNITARY, (8, 16), 4, SEED, moments_kmax=7)
+        assert plan.moments_kmax == 7
 
 
 class TestFitLoglog:
@@ -67,6 +85,30 @@ class TestFitLoglog:
     def test_nonpositive_rejected(self):
         with pytest.raises(ContractError):
             fit_loglog([(1.0, 1.0), (2.0, 0.0), (4.0, 1.0)])
+
+    def test_identical_x_rejected(self):
+        with pytest.raises(ContractError, match="distinct"):
+            fit_loglog([(7.3, 1.0), (7.3, 2.0), (7.3, 3.0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
+                    min_size=3, max_size=12))
+    def test_matches_scipy_linregress_exactly(self, points):
+        from scipy import stats
+
+        lx = np.log([x for x, _ in points])
+        ly = np.log([y for _, y in points])
+        if lx.min() == lx.max():
+            with pytest.raises(ContractError):
+                fit_loglog(points)
+            return
+        ref = stats.linregress(lx, ly)
+        fit = fit_loglog(points)
+        got = (fit.slope, fit.intercept, fit.slope_stderr, fit.r_squared)
+        want = (ref.slope, ref.intercept, ref.stderr, ref.rvalue**2)
+        # exact equality; NaN (all y equal) must come out as NaN in both
+        assert all(g == w or (np.isnan(g) and np.isnan(w)) for g, w in zip(got, want))
+        assert fit.n_used == len(points)
 
 
 class TestWilson:
@@ -121,6 +163,17 @@ class TestRateExperiment:
         weyl = [rec for rec in res.records if rec.statistic == "weyl_violation"]
         assert len(weyl) == 4
         assert all(rec.value == 0.0 for rec in weyl)
+
+    def test_randomized_sum_d1_is_the_sampled_sums(self):
+        # a measured cell draws A, B and U once for both d1 and the Weyl
+        # check; its d1 must be that of the standalone sampler's spectrum
+        tag, n, m = EnsembleTag.RANDOMIZED_SUM, 8, 3
+        res = run_rate_experiment(ExperimentPlan(tag, (n,), m, SEED))
+        spectra = [esd_line(sample_randomized_sum(n, StreamKey(SEED, tag.value, n, r)))
+                   for r in range(2 * m)]
+        pooled = pool(spectra[:m]).atoms
+        d1 = [rec.value for rec in res.records if rec.statistic == "d1"]
+        assert d1 == [_d1_to_pooled(s, pooled) for s in spectra[m:]]
 
     def test_compression_abscissa_is_kn(self):
         plan = ExperimentPlan(

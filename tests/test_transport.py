@@ -182,6 +182,14 @@ class TestCircleUniformSweep:
         slow = quadratic_value_median(lo, lo + w, ms)
         assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_half_level_reached_below_by_rounding(self):
+        # the sweep's cumulative mass at 0.1 rounds to just under half; the
+        # median set is the flat stretch [0.1, 1.0], resolved to its midpoint
+        lo = np.array([0.0, 1.0])
+        his, ms = lo + 0.1, np.array([1.9, 1.9])
+        assert transport._value_median(lo, his, ms) == pytest.approx(0.55, abs=1e-12)
+        assert quadratic_value_median(lo, his, ms) == pytest.approx(0.55, abs=1e-12)
+
     def test_hundred_thousand_atoms(self):
         n = 100_000
         atoms = TWO_PI * (np.arange(n) + 0.5) / n
