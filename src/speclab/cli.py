@@ -23,10 +23,10 @@ from . import __version__
 from .ensembles import CIRCLE_TAGS, HALF_DIMENSION_TAGS, EnsembleTag, sample_circle_ensemble, gue_wigner
 from .errors import SpeclabError, ContractError
 from .experiments import (
+    RATE_SLOPE_MAX,
     ExperimentPlan,
-    run_concentration_experiment,
+    concentration_tails,
     run_lipschitz_suite,
-    run_moment_experiment,
     run_rate_experiment,
 )
 from .matlin import eig_hermitian, eig_unitary_angles
@@ -65,10 +65,12 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: str, obj) -> str:
+    """Write obj as indented, key-sorted JSON; returns the file's sha256."""
+    payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(payload)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _ambient_dim(tag: EnsembleTag, n: int) -> int:
@@ -161,9 +163,24 @@ def _read_spectrum_csv(path: str):
     return domain, np.concatenate(values)
 
 
+def _ignored_distance_flag(args, domain: str) -> str | None:
+    """The flag the requested distance would silently ignore, if any."""
+    pair = args.reference not in ("uniform-circle", "semicircle")
+    if args.metric == "chordal" and not (pair and domain == "circle"):
+        return "--metric chordal needs a pair of angle spectra"
+    if args.metric == "euclidean" and domain == "circle":
+        return "--metric euclidean needs line spectra"
+    if args.p != 1.0 and not (pair and (domain == "line" or args.metric == "chordal")):
+        return "--p applies only to a pair of line spectra or to --metric chordal"
+    return None
+
+
 def cmd_distance(args) -> int:
     try:
         domain, atoms = _read_spectrum_csv(args.input)
+        if (flag := _ignored_distance_flag(args, domain)) is not None:
+            print(f"error: {flag}", file=sys.stderr)
+            return EXIT_USAGE
         if args.reference == "uniform-circle":
             if domain != "circle":
                 raise ContractError("uniform-circle reference needs angle spectra")
@@ -299,11 +316,9 @@ def cmd_experiment(args) -> int:
     started = _utcnow()
     os.makedirs(args.out, exist_ok=True)
     summary: dict = {"plan": canonical_plan_dict(plan)}
-    records = []
-
+    rate = run_rate_experiment(plan, workers=args.workers)
     if plan.t_grid:
-        conc = run_concentration_experiment(plan, workers=args.workers)
-        records.extend(conc.records)
+        conc = concentration_tails(rate, plan.t_grid)
         summary["concentration"] = {
             "std_by_n": [{"n": n, "std": s} for n, s in conc.std_by_n],
             "std_fit": _fit_dict(conc.std_fit),
@@ -313,11 +328,7 @@ def cmd_experiment(args) -> int:
                 for t in conc.tails
             ],
         }
-        rate_summaries = None
     else:
-        rate = run_rate_experiment(plan, workers=args.workers)
-        records.extend(rate.records)
-        rate_summaries = rate
         summary["rate"] = {
             "per_n": [
                 {"n": s.n, "x": s.x, "mean_d1": s.mean, "std_d1": s.std,
@@ -328,54 +339,52 @@ def cmd_experiment(args) -> int:
             "slope_flag_leq_-0.6": bool(rate.fit and rate.fit.slope <= -0.6),
             "warnings": list(rate.warnings),
         }
-
     if plan.moments_kmax:
-        moments = run_moment_experiment(plan, plan.moments_kmax, workers=args.workers)
         summary["moments"] = [
             {"ensemble": e.ensemble, "n": e.n, "k": e.k, "mean_re": e.mean_re,
              "mean_im": e.mean_im, "stderr": e.stderr,
              "zero_consistent": e.zero_consistent,
              "bounded_consistent": e.bounded_consistent}
-            for e in moments
+            for e in rate.moments
         ]
 
-    csv_payload = records_to_csv(records)
+    csv_payload = records_to_csv(rate.records)
     records_path = os.path.join(args.out, "records.csv")
     with open(records_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_payload)
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    summary_sha256 = _write_json(os.path.join(args.out, "summary.json"), summary)
     manifest = {
         "tool_version": __version__,
         "master_seed": plan.master_seed,
         "plan": canonical_plan_dict(plan),
         "started_utc": started,
         "finished_utc": _utcnow(),
-        "record_count": len(records),
+        "record_count": len(rate.records),
         "records_sha256": hashlib.sha256(csv_payload.encode("utf-8")).hexdigest(),
+        "summary_sha256": summary_sha256,
     }
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
-    print(f"ensemble={plan.ensemble.value} records={len(records)}")
-    if rate_summaries is not None and rate_summaries.fit is not None:
-        fit = rate_summaries.fit
-        verdict = "PASS" if fit.slope <= -0.6 else "FAIL"
+    print(f"ensemble={plan.ensemble.value} records={len(rate.records)}")
+    if not plan.t_grid and rate.fit is not None:
+        fit, threshold = rate.fit, RATE_SLOPE_MAX[plan.ensemble]
+        verdict = "PASS" if fit.slope <= threshold else "FAIL"
         print(f"rate fit: slope={fit.slope:.4f} stderr={fit.slope_stderr:.4f} "
-              f"r2={fit.r_squared:.4f} [{verdict} slope <= -0.6]")
+              f"r2={fit.r_squared:.4f} [{verdict} slope <= {threshold}]")
     return EXIT_OK
 
 
 def cmd_manifest_check(args) -> int:
-    manifest_path = os.path.join(args.dir, "manifest.json")
-    records_path = os.path.join(args.dir, "records.csv")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(os.path.join(args.dir, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
-        actual = _sha256_file(records_path)
+        for name, field in (("records.csv", "records_sha256"),
+                            ("summary.json", "summary_sha256")):
+            if _sha256_file(os.path.join(args.dir, name)) != manifest.get(field):
+                print(f"manifest check FAILED: {name} hash mismatch", file=sys.stderr)
+                return EXIT_RUNTIME
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    if actual != manifest.get("records_sha256"):
-        print("manifest check FAILED: records.csv hash mismatch", file=sys.stderr)
         return EXIT_RUNTIME
     print("manifest check OK")
     return EXIT_OK
@@ -508,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the plan seed (precedence: flag > SPECLAB_SEED > plan)")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("manifest-check", help="verify records.csv against its manifest")
+    p = sub.add_parser("manifest-check",
+                       help="verify records.csv and summary.json against their manifest")
     p.add_argument("dir")
     p.set_defaults(func=cmd_manifest_check)
 

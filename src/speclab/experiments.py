@@ -2,15 +2,16 @@
 tails, trace-moment identities, the U(n)/SU(n) coupling check, and the
 Lipschitz/containment inequality suite.
 
-Every experiment is a pure map over (n, replicate) stream keys followed by a
-deterministic sorted reduce, so results are identical for any worker count.
+Every experiment maps one cell kernel over its (n, replicate) stream keys,
+in one process pool at most, and reduces the cells in key order, so results
+are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,19 +19,21 @@ from .ensembles import (
     CIRCLE_TAGS,
     EnsembleTag,
     gue_wigner,
-    haar_su,
     haar_unitary,
     randomized_sum,
     randomized_sum_factors,
     sample_circle_ensemble,
     sample_compression,
-    sample_randomized_sum,
 )
 from .errors import ContractError
-from .matlin import eig_hermitian, eig_unitary_angles, hs_norm, spectral_diameter
+from .matlin import eig_hermitian, hs_norm, spectral_diameter
 from .measures import EmpiricalMeasureLine, esd_circle, esd_line, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
+
+#: slope a rate fit must reach for a PASS: the theorem rate is n^{-2/3},
+#: except for compressions, whose rate in kn is (kn)^{-1/3}
+RATE_SLOPE_MAX = {tag: -0.6 for tag in EnsembleTag} | {EnsembleTag.COMPRESSION: -0.25}
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,7 @@ class RateExperimentResult:
     fit: RateFitResult | None
     records: tuple
     warnings: tuple = ()
+    moments: tuple = ()  # MomentEstimates, when the plan sets moments_kmax
 
 
 @dataclass(frozen=True)
@@ -186,13 +190,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 # ---------------------------------------------------------------------------
-# distance statistics per stream key
-
-
-def circle_distance_stat(ensemble: EnsembleTag, n: int, key: StreamKey) -> float:
-    """d1 from one ensemble sample's spectral measure to the uniform law."""
-    u = sample_circle_ensemble(ensemble, n, key)
-    return w1_circle_uniform(esd_circle(u)).value
+# the cell kernel: one (n, replicate) cell per task
 
 
 def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled_atoms: np.ndarray) -> float:
@@ -205,24 +203,44 @@ def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled_atoms: np.ndarray) -> flo
     return wp_line(rep, EmpiricalMeasureLine(pooled_atoms), 1.0).value
 
 
-def _line_model_sample(ensemble: EnsembleTag, n: int, k: int, key: StreamKey):
-    if ensemble is EnsembleTag.COMPRESSION:
-        return esd_line(sample_compression(n, k, key))
-    if ensemble is EnsembleTag.RANDOMIZED_SUM:
-        return esd_line(sample_randomized_sum(n, key))
-    if ensemble is EnsembleTag.GUE_WIGNER:
-        return esd_line(gue_wigner(n, key))
-    raise ContractError(f"{ensemble.value} is not a line-model ensemble")
+def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray) -> float:
+    """1.0 if the sorted spectrum em of U A U* + B escapes the Weyl interval
+    [min(A)+min(B), max(A)+max(B)] by more than the slack, else 0.0."""
+    slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
+    lo, hi = ea[0] + eb[0] - slack, ea[-1] + eb[-1] + slack
+    return 0.0 if (em[0] >= lo and em[-1] <= hi) else 1.0
 
 
-def _rate_task(args):
-    """One (n, replicate) cell of a rate experiment; module-level so process
-    pools can pickle it."""
-    ensemble, n, replicate, seed, k = args
-    key = StreamKey(seed, ensemble.value, n, replicate)
-    if ensemble in CIRCLE_TAGS:
-        return (n, replicate, circle_distance_stat(ensemble, n, key))
-    raise ContractError("line-model rate cells are computed in batch per n")
+def _cell(task) -> dict:
+    """One (plan, n, replicate) cell: one draw, one spectrum, and every
+    statistic that needs the sample itself.  Module-level so process pools
+    can pickle it.
+
+    A circle cell gives ``d1`` to the uniform law, plus ``traces`` (tr U^k
+    for k = 1..moments_kmax) when the plan asks for moments.  A line cell
+    gives its ``spectrum``; a measured randomized-sum cell (replicate >= m)
+    also gives ``weyl_violation`` from the same draw and eigensolve.
+    """
+    plan, n, r = task
+    tag = plan.ensemble
+    key = StreamKey(plan.master_seed, tag.value, n, r)
+    if tag in CIRCLE_TAGS:
+        measure = esd_circle(sample_circle_ensemble(tag, n, key))
+        out = {"d1": w1_circle_uniform(measure).value}
+        if plan.moments_kmax:
+            out["traces"] = [np.sum(np.exp(1j * k * measure.atoms))
+                             for k in range(1, plan.moments_kmax + 1)]
+        return out
+    if tag is EnsembleTag.COMPRESSION:
+        return {"spectrum": esd_line(sample_compression(n, plan.k_of(n), key))}
+    if tag is EnsembleTag.GUE_WIGNER:
+        return {"spectrum": esd_line(gue_wigner(n, key))}
+    a, b, u = randomized_sum_factors(n, key)
+    out = {"spectrum": esd_line(randomized_sum(a, b, u))}
+    if r >= plan.replicates:
+        out["weyl_violation"] = _weyl_violation(eig_hermitian(a).values, eig_hermitian(b).values,
+                                                out["spectrum"].atoms)
+    return out
 
 
 def _parallel_map(fn, items, workers: int):
@@ -233,7 +251,7 @@ def _parallel_map(fn, items, workers: int):
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: reduces over the cells of one plan
 
 
 def _summarize(n, x, values):
@@ -245,127 +263,97 @@ def _summarize(n, x, values):
                                ci95_low=mean - half, ci95_high=mean + half)
 
 
+def _moment_estimates(ensemble: EnsembleTag, n: int, traces: np.ndarray) -> list:
+    """E tr U^k per k from a (replicates x k_max) array of traces."""
+    estimates = []
+    for k in range(1, traces.shape[1] + 1):
+        col = traces[:, k - 1]
+        mean = col.mean()
+        stderr = math.sqrt((col.real.var(ddof=1) + col.imag.var(ddof=1)) / col.size)
+        amean = abs(mean)
+        estimates.append(
+            MomentEstimate(
+                ensemble=ensemble.value, n=n, k=k,
+                mean_re=float(mean.real), mean_im=float(mean.imag),
+                stderr=stderr,
+                zero_consistent=bool(amean <= 4.0 * stderr),
+                bounded_consistent=bool(amean <= 1.0 + 4.0 * stderr),
+            )
+        )
+    return estimates
+
+
 def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimentResult:
-    """Mean d1 to the reference per dimension, plus a log-log rate fit.
+    """Mean d1 to the reference per dimension, plus a log-log rate fit, and
+    the trace moments when the plan sets ``moments_kmax``.
 
     Circle ensembles measure against the uniform law; line models use a
     split-sample pooled reference: replicates 0..m-1 build the pool and
-    replicates m..2m-1 are measured against it.
+    replicates m..2m-1 are measured against it.  Every cell of the plan goes
+    through one ``_parallel_map`` call.
     """
-    ensemble = plan.ensemble
-    m = plan.replicates
-    summaries, records, warnings = [], [], []
-
-    for n in plan.n_grid:
-        if ensemble in CIRCLE_TAGS:
-            tasks = [(ensemble, n, r, plan.master_seed, 0) for r in range(m)]
-            out = _parallel_map(_rate_task, tasks, workers)
-            out.sort(key=lambda t: t[1])
-            values = [v for _, _, v in out]
-            for _, r, v in out:
-                records.append(SummaryRecord(ensemble.value, n, r, "d1",
-                                             v, StreamKey(plan.master_seed, ensemble.value, n, r)))
-            x = n
-        else:
-            k = plan.k_of(n) if ensemble is EnsembleTag.COMPRESSION else n
-            pool_samples = []
-            for r in range(m):
-                key = StreamKey(plan.master_seed, ensemble.value, n, r)
-                pool_samples.append(_line_model_sample(ensemble, n, k, key))
-            pooled = pool(pool_samples)
-            values = []
-            for r in range(m, 2 * m):
-                key = StreamKey(plan.master_seed, ensemble.value, n, r)
-                if ensemble is EnsembleTag.RANDOMIZED_SUM:
-                    # one draw and one eigensolve of the sum serve d1 and Weyl
-                    a, b, u = randomized_sum_factors(n, key)
-                    em = eig_hermitian(randomized_sum(a, b, u)).values
-                    sample = EmpiricalMeasureLine(em)
-                    weyl = _weyl_violation(eig_hermitian(a).values, eig_hermitian(b).values, em)
-                else:
-                    sample, weyl = _line_model_sample(ensemble, n, k, key), None
-                v = _d1_to_pooled(sample, pooled.atoms)
-                values.append(v)
-                records.append(SummaryRecord(ensemble.value, n, r, "d1", v, key))
-                if weyl is not None:
-                    records.append(SummaryRecord(ensemble.value, n, r, "weyl_violation", weyl, key))
-            x = k * n if ensemble is EnsembleTag.COMPRESSION else n
-        summaries.append(_summarize(n, x, values))
+    tag, m = plan.ensemble, plan.replicates
+    first = 0 if tag in CIRCLE_TAGS else m  # first measured replicate
+    reps = first + m
+    cells = _parallel_map(_cell, [(plan, n, r) for n in plan.n_grid for r in range(reps)],
+                          workers)
+    summaries, records, moments, warnings = [], [], [], []
+    for i, n in enumerate(plan.n_grid):
+        block = cells[i * reps:(i + 1) * reps]
+        if first:
+            pooled = pool(c["spectrum"] for c in block[:first]).atoms
+            for c in block[first:]:
+                c["d1"] = _d1_to_pooled(c["spectrum"], pooled)
+        for r in range(first, reps):
+            key = StreamKey(plan.master_seed, tag.value, n, r)
+            for stat in ("d1", "weyl_violation"):
+                if stat in block[r]:
+                    records.append(SummaryRecord(tag.value, n, r, stat, block[r][stat], key))
+        x = plan.k_of(n) * n if tag is EnsembleTag.COMPRESSION else n
+        summaries.append(_summarize(n, x, [c["d1"] for c in block[first:]]))
+        if plan.moments_kmax:
+            moments += _moment_estimates(tag, n, np.array([c["traces"] for c in block]))
 
     fit = None
     if len(summaries) >= 3:
         fit = fit_loglog([(s.x, s.mean) for s in summaries])
     else:
         warnings.append("fewer than 3 grid points: rate fit omitted")
-    return RateExperimentResult(tuple(summaries), fit, tuple(records), tuple(warnings))
+    return RateExperimentResult(tuple(summaries), fit, tuple(records), tuple(warnings),
+                                tuple(moments))
 
 
-def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray) -> float:
-    """1.0 if the sorted spectrum em of U A U* + B escapes the Weyl interval
-    [min(A)+min(B), max(A)+max(B)] by more than the slack, else 0.0."""
-    slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
-    lo, hi = ea[0] + eb[0] - slack, ea[-1] + eb[-1] + slack
-    return 0.0 if (em[0] >= lo and em[-1] <= hi) else 1.0
-
-
-def run_concentration_experiment(plan: ExperimentPlan, t_grid=None, workers: int = 1) -> ConcentrationResult:
+def concentration_tails(rate: RateExperimentResult, t_grid) -> ConcentrationResult:
     """Empirical tails P[d1 >= mean + t] per (n, t), plus a log-log fit of
-    the per-n standard deviation of d1 against n."""
-    ts = tuple(t_grid) if t_grid is not None else (plan.t_grid or ())
-    rate = run_rate_experiment(plan, workers=workers)
-    tails, stds = [], []
-    by_n = {}
-    for rec in rate.records:
-        if rec.statistic == "d1":
-            by_n.setdefault(rec.n, []).append((rec.replicate, rec.value))
-    for n in plan.n_grid:
-        vals = np.array([v for _, v in sorted(by_n[n])])
-        mean = vals.mean()
-        stds.append((n, float(vals.std(ddof=1))))
-        for t in ts:
-            hits = int(np.sum(vals >= mean + t))
+    the per-n standard deviation of d1 against n, from a rate run."""
+    tails = []
+    for s in rate.summaries:
+        vals = np.array([rec.value for rec in rate.records
+                         if rec.n == s.n and rec.statistic == "d1"])
+        for t in t_grid:
+            hits = int(np.sum(vals >= s.mean + t))
             lo, hi = wilson_interval(hits, vals.size)
-            tails.append(TailEstimate(n=n, t=float(t), p_hat=hits / vals.size,
+            tails.append(TailEstimate(n=s.n, t=float(t), p_hat=hits / vals.size,
                                       replicates=vals.size, wilson_low=lo, wilson_high=hi))
+    stds = [(s.n, s.std) for s in rate.summaries]
     std_fit = fit_loglog(stds) if len(stds) >= 3 else None
     return ConcentrationResult(tuple(tails), std_fit, tuple(stds), rate.records)
 
 
+def run_concentration_experiment(plan: ExperimentPlan, t_grid=None, workers: int = 1) -> ConcentrationResult:
+    """Concentration tails over a rate run; ``t_grid`` defaults to the plan's."""
+    ts = tuple(t_grid) if t_grid is not None else (plan.t_grid or ())
+    return concentration_tails(run_rate_experiment(plan, workers=workers), ts)
+
+
 def run_moment_experiment(plan: ExperimentPlan, k_max: int, workers: int = 1):
-    """Monte-Carlo estimates of E tr U^k for k = 1..k_max (< n).
+    """Monte-Carlo estimates of E tr U^k for k = 1..k_max (< n), from the
+    samples of a rate run.
 
     U(n)/SU(n) means should be zero-consistent (|mean| <= 4 stderr); the
     real groups and Sp are bounded-consistent (|mean| <= 1 + 4 stderr).
     """
-    ensemble = plan.ensemble
-    if ensemble not in CIRCLE_TAGS:
-        raise ContractError("moment identities apply to circle ensembles only")
-    estimates, records = [], []
-    for n in plan.n_grid:
-        if k_max >= n:
-            raise ContractError(f"moment order must satisfy k < n, got k_max={k_max}, n={n}")
-        traces = np.empty((plan.replicates, k_max), dtype=np.complex128)
-        for r in range(plan.replicates):
-            key = StreamKey(plan.master_seed, ensemble.value, n, r)
-            u = sample_circle_ensemble(ensemble, n, key)
-            ang = eig_unitary_angles(u).angles
-            for k in range(1, k_max + 1):
-                traces[r, k - 1] = np.sum(np.exp(1j * k * ang))
-        for k in range(1, k_max + 1):
-            col = traces[:, k - 1]
-            mean = col.mean()
-            stderr = math.sqrt((col.real.var(ddof=1) + col.imag.var(ddof=1)) / col.size)
-            amean = abs(mean)
-            estimates.append(
-                MomentEstimate(
-                    ensemble=ensemble.value, n=n, k=k,
-                    mean_re=float(mean.real), mean_im=float(mean.imag),
-                    stderr=stderr,
-                    zero_consistent=bool(amean <= 4.0 * stderr),
-                    bounded_consistent=bool(amean <= 1.0 + 4.0 * stderr),
-                )
-            )
-    return estimates
+    return list(run_rate_experiment(replace(plan, moments_kmax=k_max), workers).moments)
 
 
 def two_sample_ks_critical(n1: int, n2: int, level: float = 0.01) -> float:
@@ -384,17 +372,13 @@ def run_identdist_experiment(n: int, replicates: int, seed: int,
     distributed distances; an accept at level 0.01 under a frozen seed is
     the pass condition.
     """
-    if replicates < 2:
-        raise ContractError("need at least 2 replicates")
-    nb = n_b if n_b is not None else n
-    xs = np.array([
-        circle_distance_stat(ensemble_a, n, StreamKey(seed, ensemble_a.value, n, r))
-        for r in range(replicates)
-    ])
-    ys = np.array([
-        circle_distance_stat(ensemble_b, nb, StreamKey(seed, ensemble_b.value, nb, r))
-        for r in range(replicates)
-    ])
+    plans = (ExperimentPlan(ensemble_a, (n,), replicates, seed),
+             ExperimentPlan(ensemble_b, (n if n_b is None else n_b,), replicates, seed))
+    if not {ensemble_a, ensemble_b} <= CIRCLE_TAGS:
+        raise ContractError("the coupling check compares circle ensembles")
+    cells = _parallel_map(_cell, [(p, p.n_grid[0], r) for p in plans for r in range(replicates)], 1)
+    xs = np.array([c["d1"] for c in cells[:replicates]])
+    ys = np.array([c["d1"] for c in cells[replicates:]])
     from scipy import stats
 
     stat = float(stats.ks_2samp(xs, ys, method="asymp").statistic)

@@ -3,7 +3,7 @@ and piecewise-linear test-function statistics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .matlin import (
     eig_hermitian,
     eig_unitary_angles,
 )
-from .rng import StreamKey
 
 
 class EmpiricalMeasureCircle:
@@ -57,6 +56,9 @@ class EmpiricalMeasureLine:
     def __len__(self):
         return self.atoms.size
 
+    def __reduce__(self):  # unpickled atoms are revalidated and read-only
+        return type(self), (self.atoms,)
+
 
 @dataclass(frozen=True)
 class PooledMeasure:
@@ -64,15 +66,9 @@ class PooledMeasure:
 
     domain: str
     atoms: np.ndarray
-    provenance: tuple = ()
 
     def __len__(self):
         return self.atoms.size
-
-    def as_measure(self):
-        if self.domain == "circle":
-            return EmpiricalMeasureCircle(self.atoms)
-        return EmpiricalMeasureLine(self.atoms)
 
 
 class UniformCircleReference:
@@ -106,7 +102,7 @@ def esd_line(a: HermitianView) -> EmpiricalMeasureLine:
     return EmpiricalMeasureLine(eig_hermitian(a).values)
 
 
-def pool(samples, provenance: tuple[StreamKey, ...] = ()) -> PooledMeasure:
+def pool(samples) -> PooledMeasure:
     """Uniform measure on the multiset union of equally-sized samples.
 
     Inputs must share a domain and atom count; callers sort by replicate
@@ -124,7 +120,7 @@ def pool(samples, provenance: tuple[StreamKey, ...] = ()) -> PooledMeasure:
             raise ContractError("cannot pool measures with different atom counts")
     atoms = np.sort(np.concatenate([s.atoms for s in samples]))
     atoms.setflags(write=False)
-    return PooledMeasure(domain=domain, atoms=atoms, provenance=tuple(provenance))
+    return PooledMeasure(domain=domain, atoms=atoms)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ import textwrap
 import numpy as np
 import pytest
 
+from speclab import experiments
 from speclab.cli import main
+from speclab.ensembles import EnsembleTag
+from speclab.experiments import ExperimentPlan, run_moment_experiment
 
 TWO_PI = 2 * np.pi
 
@@ -119,6 +122,53 @@ class TestDistance:
         assert err
 
 
+def write_line_csv(path, values):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("replicate," + ",".join(f"eigenvalue_{i}" for i in range(len(values))) + "\n")
+        fh.write("0," + ",".join(f"{v:.17g}" for v in values) + "\n")
+
+
+class TestDistanceFlags:
+    @pytest.mark.parametrize("domain,reference,flags", [
+        ("circle", "uniform-circle", ["--p", "2"]),
+        ("line", "semicircle", ["--p", "2"]),
+        ("circle", "pair", ["--p", "2"]),
+        ("circle", "uniform-circle", ["--metric", "euclidean"]),
+        ("circle", "pair", ["--metric", "euclidean"]),
+        ("line", "pair", ["--metric", "chordal"]),
+        ("line", "semicircle", ["--metric", "chordal"]),
+        ("circle", "uniform-circle", ["--metric", "chordal"]),
+    ])
+    def test_ignored_flag_exits_2(self, tmp_path, capsys, domain, reference, flags):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            if domain == "circle":
+                write_roots_csv(path, 4)
+            else:
+                write_line_csv(path, [-1.0, 0.5, 2.0])
+        ref = str(b) if reference == "pair" else reference
+        code, out, err = run_cli(capsys, "distance", "--input", str(a),
+                                 "--reference", ref, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert flags[0] in err and "Traceback" not in err
+
+    def test_defaults_and_honored_flags_still_run(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_line_csv(a, [0.0, 1.0])
+        write_line_csv(b, [1.0, 2.0])
+        # geodesic is the default metric and reads as euclidean on the line
+        code, out, _ = run_cli(capsys, "distance", "--input", str(a), "--reference", str(b),
+                               "--metric", "geodesic", "--p", "2")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(1.0)
+        assert json.loads(out)["p"] == 2.0
+        code, out, _ = run_cli(capsys, "distance", "--input", str(a), "--reference", "semicircle",
+                               "--metric", "euclidean")
+        assert code == 0
+
+
 def write_plan(path, **overrides):
     plan = {
         "ensemble": "unitary",
@@ -158,6 +208,52 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "manifest-check", str(outdir))
         assert code == 1
         assert "mismatch" in err.lower() or "mismatch" in err
+
+    def test_manifest_check_covers_summary(self, tmp_path, capsys):
+        plan = write_plan(tmp_path / "plan.json")
+        outdir = tmp_path / "run"
+        assert run_cli(capsys, "experiment", "--plan", str(plan),
+                       "--out", str(outdir))[0] == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert len(manifest["summary_sha256"]) == 64
+        summary = outdir / "summary.json"
+        summary.write_text(summary.read_text().replace("7", "8", 1))
+        code, out, err = run_cli(capsys, "manifest-check", str(outdir))
+        assert code == 1
+        assert "summary.json" in err and "OK" not in out
+
+    @pytest.mark.parametrize("ensemble,threshold", [("compression", "-0.25"), ("unitary", "-0.6")])
+    def test_verdict_uses_the_ensemble_threshold(self, tmp_path, capsys, ensemble, threshold):
+        plan = write_plan(tmp_path / "plan.json", ensemble=ensemble, k_rule=None)
+        outdir = tmp_path / "run"
+        code, out, _ = run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir))
+        assert code == 0
+        slope = json.loads((outdir / "summary.json").read_text())["rate"]["fit"]["slope"]
+        verdict = "PASS" if slope <= float(threshold) else "FAIL"
+        assert out.splitlines()[-1].endswith(f"[{verdict} slope <= {threshold}]")
+
+    @pytest.mark.parametrize("t_grid", [None, [0.0, 0.05]])
+    def test_moments_reuse_the_rate_samples(self, tmp_path, capsys, monkeypatch, t_grid):
+        # one draw per (n, replicate) cell serves d1, the tails and the moments
+        calls = []
+        sample = experiments.sample_circle_ensemble
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(experiments, "sample_circle_ensemble", counted)
+        plan = write_plan(tmp_path / "plan.json", n_grid=[4, 6, 8], replicates=5,
+                          moments_kmax=3, t_grid=t_grid)
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                               "--out", str(outdir), "--workers", "1")
+        assert code == 0, err
+        assert len(calls) == 3 * 5
+        monkeypatch.undo()
+        moments = json.loads((outdir / "summary.json").read_text())["moments"]
+        expected = run_moment_experiment(ExperimentPlan(EnsembleTag.UNITARY, (4, 6, 8), 5, 7), 3)
+        assert moments == [vars(e) for e in expected]
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         plan = write_plan(tmp_path / "plan.json", seed=7)

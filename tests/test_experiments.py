@@ -136,6 +136,22 @@ class TestRateExperiment:
         assert [rec.value for rec in r1.records] == [rec.value for rec in r2.records]
         assert r1.fit.slope == r2.fit.slope
 
+    @pytest.mark.parametrize("ensemble", ["randomized_sum", "compression", "gue_wigner"])
+    def test_line_models_worker_independent(self, ensemble):
+        plan = ExperimentPlan(EnsembleTag(ensemble), (4, 6, 8), 5, SEED)
+        r1 = run_rate_experiment(plan, workers=1)
+        r3 = run_rate_experiment(plan, workers=3)
+        assert r1.records == r3.records
+        assert r1.summaries == r3.summaries
+
+    def test_moments_ride_along_with_d1(self):
+        plan = ExperimentPlan(EnsembleTag.SO, (6, 8), 30, SEED, moments_kmax=4)
+        res = run_rate_experiment(plan, workers=2)
+        assert list(res.moments) == run_moment_experiment(plan, 4)
+        bare = run_rate_experiment(ExperimentPlan(EnsembleTag.SO, (6, 8), 30, SEED))
+        assert res.records == bare.records
+        assert bare.moments == ()
+
     def test_short_grid_skips_fit(self):
         plan = ExperimentPlan(EnsembleTag.UNITARY, (4, 8), 5, SEED)
         res = run_rate_experiment(plan)
@@ -240,6 +256,10 @@ class TestIdentDist:
         res = run_identdist_experiment(16, 400, SEED)
         assert res.accept
         assert res.samples_per_side == 400
+
+    def test_line_ensembles_rejected(self):
+        with pytest.raises(ContractError, match="circle ensembles"):
+            run_identdist_experiment(8, 10, SEED, ensemble_b=EnsembleTag.GUE_WIGNER)
 
     def test_mismatched_rejects(self):
         res = run_identdist_experiment(16, 400, SEED,

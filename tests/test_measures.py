@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,13 @@ class TestEsd:
         # semicircle support [-2, 2] plus edge fluctuation, at the frozen seed
         m = esd_line(gue_wigner(512, StreamKey(20260826, "gue_range", 512, 0)))
         assert m.atoms[0] >= -2.5 and m.atoms[-1] <= 2.5
+
+
+def test_line_measure_unpickles_read_only():
+    # line spectra come back from worker processes by pickle
+    m = pickle.loads(pickle.dumps(EmpiricalMeasureLine([2.0, -1.0])))
+    assert m.atoms.tolist() == [-1.0, 2.0]
+    assert not m.atoms.flags.writeable
 
 
 class TestPool:

@@ -119,7 +119,8 @@ def quadratic_value_median(los, his, masses):
     frac = np.where(flat[None, :], (pts[:, None] >= los[None, :]).astype(float), frac)
     vals = frac @ masses
 
-    i = int(np.searchsorted(vals, half))
+    # as in the sweep: a cumulative mass within eps below half reaches it
+    i = int(np.searchsorted(vals, half - eps))
     if i == 0:
         return float(pts[0])
     if i >= pts.size:
@@ -189,6 +190,15 @@ class TestCircleUniformSweep:
         his, ms = lo + 0.1, np.array([1.9, 1.9])
         assert transport._value_median(lo, his, ms) == pytest.approx(0.55, abs=1e-12)
         assert quadratic_value_median(lo, his, ms) == pytest.approx(0.55, abs=1e-12)
+
+    def test_oracle_half_level_reached_below_by_rounding(self):
+        # the oracle's matrix product lands one ulp under half at 2.5, the
+        # end of the flat median stretch [1.5, 2.5]; the median is 2.0
+        lo = np.array([-3.6, -4.3, 4.5, 3.5, 2.5, 1.5])
+        his = lo + np.array([2.5, 0.5, 0.5, 0.1, 0.1, 0.0])
+        ms = np.array([10.0, 1.0, 0.1, 10.0, 1.0, 0.1])
+        assert transport._value_median(lo, his, ms) == pytest.approx(2.0, abs=1e-12)
+        assert quadratic_value_median(lo, his, ms) == pytest.approx(2.0, abs=1e-12)
 
     def test_hundred_thousand_atoms(self):
         n = 100_000
