@@ -95,10 +95,10 @@ def cmd_sample(args) -> int:
         key = StreamKey(args.seed, tag.value, n, r)
         if tag in CIRCLE_TAGS:
             u = sample_circle_ensemble(tag, n, key)
-            spec = eig_unitary_angles(u).angles
+            spec = eig_unitary_angles(u).atoms
             colname = "angle"
         elif tag is EnsembleTag.GUE_WIGNER:
-            spec = eig_hermitian(gue_wigner(n, key)).values
+            spec = eig_hermitian(gue_wigner(n, key)).atoms
             colname = "eigenvalue"
         else:
             print(f"error: ensemble {tag.value} has no direct sampling form; "
@@ -314,7 +314,11 @@ def cmd_experiment(args) -> int:
         return EXIT_USAGE
 
     started = _utcnow()
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {args.out}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     summary: dict = {"plan": canonical_plan_dict(plan)}
     rate = run_rate_experiment(plan, workers=args.workers)
     if plan.t_grid:
@@ -349,21 +353,25 @@ def cmd_experiment(args) -> int:
         ]
 
     csv_payload = records_to_csv(rate.records)
-    records_path = os.path.join(args.out, "records.csv")
-    with open(records_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_payload)
-    summary_sha256 = _write_json(os.path.join(args.out, "summary.json"), summary)
-    manifest = {
-        "tool_version": __version__,
-        "master_seed": plan.master_seed,
-        "plan": canonical_plan_dict(plan),
-        "started_utc": started,
-        "finished_utc": _utcnow(),
-        "record_count": len(rate.records),
-        "records_sha256": hashlib.sha256(csv_payload.encode("utf-8")).hexdigest(),
-        "summary_sha256": summary_sha256,
-    }
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    try:
+        with open(os.path.join(args.out, "records.csv"), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(csv_payload)
+        summary_sha256 = _write_json(os.path.join(args.out, "summary.json"), summary)
+        manifest = {
+            "tool_version": __version__,
+            "master_seed": plan.master_seed,
+            "plan": canonical_plan_dict(plan),
+            "started_utc": started,
+            "finished_utc": _utcnow(),
+            "record_count": len(rate.records),
+            "records_sha256": hashlib.sha256(csv_payload.encode("utf-8")).hexdigest(),
+            "summary_sha256": summary_sha256,
+        }
+        _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    except OSError as exc:
+        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     print(f"ensemble={plan.ensemble.value} records={len(rate.records)}")
     if not plan.t_grid and rate.fit is not None:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .ensembles import (
     CIRCLE_TAGS,
+    HALF_DIMENSION_TAGS,
     EnsembleTag,
     gue_wigner,
     haar_unitary,
@@ -26,8 +27,8 @@ from .ensembles import (
     sample_compression,
 )
 from .errors import ContractError
-from .matlin import eig_hermitian, hs_norm, spectral_diameter
-from .measures import EmpiricalMeasureLine, esd_circle, esd_line, pool
+from .matlin import eig_hermitian, eig_unitary_angles, hs_norm, spectral_diameter
+from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
 
@@ -55,6 +56,9 @@ class ExperimentPlan:
             raise ContractError("n_grid must be nonempty and strictly ascending")
         if any(n < 1 for n in grid):
             raise ContractError("dimensions must be positive")
+        if self.ensemble in HALF_DIMENSION_TAGS and any(n % 2 for n in grid):
+            raise ContractError(f"/n_grid: {self.ensemble.value} requires even ambient "
+                                f"dimensions, got {list(grid)}")
         object.__setattr__(self, "n_grid", grid)
         if self.replicates < 2:
             raise ContractError("need at least 2 replicates")
@@ -67,8 +71,14 @@ class ExperimentPlan:
         if self.t_grid is not None:
             object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.k_rule is not None and self.k_rule != "half":
-            if not self.k_rule.startswith("fixed:") or not self.k_rule[6:].isdigit():
-                raise ContractError(f"unknown k_rule {self.k_rule!r}")
+            # isdecimal, not isdigit: int() rejects digits such as superscripts
+            if not self.k_rule.startswith("fixed:") or not self.k_rule[6:].isdecimal():
+                raise ContractError(f"/k_rule: unknown rule {self.k_rule!r}")
+        if self.ensemble is EnsembleTag.COMPRESSION:
+            for n in grid:
+                if not 1 <= self.k_of(n) <= n:
+                    raise ContractError(f"/k_rule: k must be in 1..{n}, "
+                                        f"got {self.k_of(n)} at n={n}")
 
     def k_of(self, n: int) -> int:
         if self.k_rule in (None, "half"):
@@ -193,14 +203,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 # the cell kernel: one (n, replicate) cell per task
 
 
-def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled_atoms: np.ndarray) -> float:
+def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled: EmpiricalMeasureLine) -> float:
     """Exact W1 between a k-atom measure and an (m*k)-atom pooled measure by
     replicating each atom m times (equal-weight multisets of equal size)."""
-    m = pooled_atoms.size // sample.atoms.size
-    if m * sample.atoms.size != pooled_atoms.size:
+    m = len(pooled) // len(sample)
+    if m * len(sample) != len(pooled):
         raise ContractError("pooled atom count must be a multiple of the sample's")
-    rep = EmpiricalMeasureLine(np.repeat(sample.atoms, m))
-    return wp_line(rep, EmpiricalMeasureLine(pooled_atoms), 1.0).value
+    return wp_line(EmpiricalMeasureLine(np.repeat(sample.atoms, m)), pooled, 1.0).value
 
 
 def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray) -> float:
@@ -225,20 +234,20 @@ def _cell(task) -> dict:
     tag = plan.ensemble
     key = StreamKey(plan.master_seed, tag.value, n, r)
     if tag in CIRCLE_TAGS:
-        measure = esd_circle(sample_circle_ensemble(tag, n, key))
+        measure = eig_unitary_angles(sample_circle_ensemble(tag, n, key))
         out = {"d1": w1_circle_uniform(measure).value}
         if plan.moments_kmax:
             out["traces"] = [np.sum(np.exp(1j * k * measure.atoms))
                              for k in range(1, plan.moments_kmax + 1)]
         return out
     if tag is EnsembleTag.COMPRESSION:
-        return {"spectrum": esd_line(sample_compression(n, plan.k_of(n), key))}
+        return {"spectrum": eig_hermitian(sample_compression(n, plan.k_of(n), key))}
     if tag is EnsembleTag.GUE_WIGNER:
-        return {"spectrum": esd_line(gue_wigner(n, key))}
+        return {"spectrum": eig_hermitian(gue_wigner(n, key))}
     a, b, u = randomized_sum_factors(n, key)
-    out = {"spectrum": esd_line(randomized_sum(a, b, u))}
+    out = {"spectrum": eig_hermitian(randomized_sum(a, b, u))}
     if r >= plan.replicates:
-        out["weyl_violation"] = _weyl_violation(eig_hermitian(a).values, eig_hermitian(b).values,
+        out["weyl_violation"] = _weyl_violation(eig_hermitian(a).atoms, eig_hermitian(b).atoms,
                                                 out["spectrum"].atoms)
     return out
 
@@ -301,7 +310,7 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
     for i, n in enumerate(plan.n_grid):
         block = cells[i * reps:(i + 1) * reps]
         if first:
-            pooled = pool(c["spectrum"] for c in block[:first]).atoms
+            pooled = pool(c["spectrum"] for c in block[:first])
             for c in block[first:]:
                 c["d1"] = _d1_to_pooled(c["spectrum"], pooled)
         for r in range(first, reps):
@@ -415,8 +424,9 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
         a, b, u = randomized_sum_factors(n, key)
         v = haar_unitary(n, subkey(key, "v"))
 
-        ea, eb = eig_hermitian(a).values, eig_hermitian(b).values
-        d2 = wp_line(EmpiricalMeasureLine(ea), EmpiricalMeasureLine(eb), 2.0).value
+        ma, mb = eig_hermitian(a), eig_hermitian(b)
+        ea, eb = ma.atoms, mb.atoms
+        d2 = wp_line(ma, mb, 2.0).value
         if d2 > hs_norm(a.entries - b.entries) / math.sqrt(n) + slack:
             hw += 1
 
@@ -433,7 +443,7 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
         if hs_norm(pu - pv) > delta * uv + slack:
             comp += 1
 
-        em = eig_hermitian(randomized_sum(a, b, u)).values
+        em = eig_hermitian(randomized_sum(a, b, u)).atoms
         if em[0] < ea[0] + eb[0] - slack or em[-1] > ea[-1] + eb[-1] + slack:
             weyl += 1
     return LipschitzReport(trials, hw, conj, comp, weyl)

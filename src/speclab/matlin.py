@@ -2,8 +2,9 @@
 and unitary eigendecompositions, spectral diameter.
 
 All values are immutable after construction and safe to share between
-threads.  Eigensolvers are LAPACK-backed (via numpy); constructor checks
-make the Hermitian/unitary assumptions explicit rather than trusted.
+threads.  Eigensolvers are LAPACK-backed (via numpy) and return the empirical
+spectral measure types of ``measures``; constructor checks make the
+Hermitian/unitary assumptions explicit rather than trusted.
 
 Unitary spectra never go through the general non-symmetric eigensolver.  A
 phase-shifted Cayley transform H = i (I + zU)^{-1} (I - zU), z = e^{i alpha},
@@ -19,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, NumericalFailureError
-
-TWO_PI = 2.0 * np.pi
+from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine
 
 
 class ComplexMatrix:
@@ -98,48 +98,6 @@ class UnitaryView:
         return f"UnitaryView(dim={self.dim})"
 
 
-class SpectrumLine:
-    """Real eigenvalues with multiplicity, sorted ascending."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        vals = np.array(values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ContractError("spectrum must be a nonempty 1-D array")
-        if not np.all(np.isfinite(vals)):
-            raise ContractError("eigenvalues must be finite")
-        if np.any(np.diff(vals) < 0):
-            vals = np.sort(vals)
-        vals.setflags(write=False)
-        self.values = vals
-
-    def __len__(self):
-        return self.values.size
-
-
-class SpectrumCircle:
-    """Eigenangles in [0, 2*pi), sorted ascending."""
-
-    __slots__ = ("angles",)
-
-    def __init__(self, angles):
-        ang = np.array(angles, dtype=np.float64)
-        if ang.ndim != 1 or ang.size < 1:
-            raise ContractError("angle spectrum must be a nonempty 1-D array")
-        if not np.all(np.isfinite(ang)):
-            raise ContractError("angles must be finite")
-        if np.any(ang < 0.0) or np.any(ang >= TWO_PI):
-            raise ContractError("angles must lie in [0, 2*pi)")
-        if np.any(np.diff(ang) < 0):
-            ang = np.sort(ang)
-        ang.setflags(write=False)
-        self.angles = ang
-
-    def __len__(self):
-        return self.angles.size
-
-
 def hermitian(entries) -> HermitianView:
     """Shorthand: build a HermitianView from raw entries."""
     return HermitianView(ComplexMatrix(entries))
@@ -156,31 +114,25 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(arr))
 
 
-def eig_hermitian(a: HermitianView, vectors: bool = False):
-    """Eigenvalues of a Hermitian matrix, ascending; optionally eigenvectors.
-
-    Returns a SpectrumLine, or (SpectrumLine, V) with columns of V the
-    corresponding eigenvectors, satisfying ||A V - V diag(lam)|| small.
-    """
+def eig_hermitian(a: HermitianView) -> EmpiricalMeasureLine:
+    """Empirical spectral measure of a Hermitian matrix: its eigenvalues,
+    with multiplicity, as ascending atoms."""
     try:
-        if vectors:
-            vals, vecs = np.linalg.eigh(a.entries)
-            return SpectrumLine(vals), vecs
-        return SpectrumLine(np.linalg.eigvalsh(a.entries))
+        return EmpiricalMeasureLine(np.linalg.eigvalsh(a.entries))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailureError(f"Hermitian eigensolver failed: {exc}") from exc
 
 
 def op_norm(a: HermitianView) -> float:
     """Operator norm max_i |lambda_i| of a Hermitian matrix."""
-    vals = eig_hermitian(a).values
+    vals = eig_hermitian(a).atoms
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def spectral_diameter(a: HermitianView) -> float:
     """lambda_max - lambda_min; equals twice the operator-norm distance to
     the scalar matrices."""
-    vals = eig_hermitian(a).values
+    vals = eig_hermitian(a).atoms
     return float(vals[-1] - vals[0])
 
 
@@ -242,8 +194,9 @@ def _cayley_angles(u: np.ndarray, alpha: float):
     return np.mod(2.0 * np.arctan(lam) - alpha, TWO_PI), defect
 
 
-def eig_unitary_angles(u: UnitaryView) -> SpectrumCircle:
-    """Eigenangles theta_j of a unitary matrix, with e^{i theta_j} its spectrum.
+def eig_unitary_angles(u: UnitaryView) -> EmpiricalMeasureCircle:
+    """Empirical spectral measure of a unitary matrix: its eigenangles
+    theta_j, with e^{i theta_j} its spectrum, as ascending atoms.
 
     The angles come from the Hermitian Cayley transform
     H = i (I + zU)^{-1} (I - zU), z = e^{i alpha}, whose eigenvalues are
@@ -285,4 +238,4 @@ def eig_unitary_angles(u: UnitaryView) -> SpectrumCircle:
         raise NumericalFailureError(
             f"angle product disagrees with det(U) by {abs(prod - det):.3e}"
         )
-    return SpectrumCircle(np.sort(angles))
+    return EmpiricalMeasureCircle(angles)

@@ -1,5 +1,9 @@
-"""Empirical spectral measures on the circle and line, pooled estimators,
-and piecewise-linear test-function statistics."""
+"""Empirical spectral measures on the circle and line, pooling, and
+piecewise-linear test-function statistics.
+
+This is the bottom layer: the eigensolvers in ``matlin`` return the measure
+types defined here, so the module imports no speclab module but ``errors``.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .matlin import (
-    TWO_PI,
-    HermitianView,
-    UnitaryView,
-    eig_hermitian,
-    eig_unitary_angles,
-)
+
+TWO_PI = 2.0 * np.pi
 
 
 class EmpiricalMeasureCircle:
@@ -60,17 +59,6 @@ class EmpiricalMeasureLine:
         return type(self), (self.atoms,)
 
 
-@dataclass(frozen=True)
-class PooledMeasure:
-    """Uniform measure on the multiset union of several replicate spectra."""
-
-    domain: str
-    atoms: np.ndarray
-
-    def __len__(self):
-        return self.atoms.size
-
-
 class UniformCircleReference:
     """The uniform probability measure on the unit circle."""
 
@@ -92,18 +80,9 @@ class SemicircleReference:
         return out
 
 
-def esd_circle(u: UnitaryView) -> EmpiricalMeasureCircle:
-    """Empirical spectral measure of a unitary matrix, as angle atoms."""
-    return EmpiricalMeasureCircle(eig_unitary_angles(u).angles)
-
-
-def esd_line(a: HermitianView) -> EmpiricalMeasureLine:
-    """Empirical spectral measure of a Hermitian matrix."""
-    return EmpiricalMeasureLine(eig_hermitian(a).values)
-
-
-def pool(samples) -> PooledMeasure:
-    """Uniform measure on the multiset union of equally-sized samples.
+def pool(samples):
+    """Uniform measure on the multiset union of equally-sized samples, of the
+    samples' own measure type.
 
     Inputs must share a domain and atom count; callers sort by replicate
     index upstream so the result is deterministic.
@@ -118,9 +97,7 @@ def pool(samples) -> PooledMeasure:
             raise ContractError("cannot pool measures from different domains")
         if len(s) != n:
             raise ContractError("cannot pool measures with different atom counts")
-    atoms = np.sort(np.concatenate([s.atoms for s in samples]))
-    atoms.setflags(write=False)
-    return PooledMeasure(domain=domain, atoms=atoms)
+    return type(samples[0])(np.concatenate([s.atoms for s in samples]))
 
 
 @dataclass(frozen=True)

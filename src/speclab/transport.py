@@ -19,8 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, SizeGuardError
-from .matlin import TWO_PI
-from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
+from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine
 
 ORACLE_MAX_ATOMS = 12
 
@@ -111,10 +110,14 @@ def _value_median(los: np.ndarray, his: np.ndarray, masses: np.ndarray) -> float
     if i >= size:
         return float(pts[-1])
     if vals[i] > half + eps:
-        # the half-mass level is strictly inside a linear piece
+        # the cdf passes half below pts[i] or in its point mass: interpolate
+        # toward the mass strictly below pts[i]
+        below = vals[i] - jumps[i]
+        if below <= half + eps:
+            return float(pts[i])
         a, b = pts[i - 1], pts[i]
-        fa, fb = vals[i - 1], vals[i]
-        return float(a + (half - fa) / (fb - fa) * (b - a))
+        fa = vals[i - 1]
+        return float(a + (half - fa) / (below - fa) * (b - a))
     # cdf hits half at pts[i]; the median set extends to the last flat point
     j = int(np.searchsorted(vals, half + eps, side="right")) - 1
     return float((pts[i] + pts[j]) / 2.0)
@@ -171,20 +174,8 @@ def w1_circle_pair(m1: EmpiricalMeasureCircle, m2: EmpiricalMeasureCircle) -> Di
     f1 = np.searchsorted(m1.atoms, mids, side="right") / len(m1)
     f2 = np.searchsorted(m2.atoms, mids, side="right") / len(m2)
     g = f1 - f2
-    keep = lengths > 0
-    g, lengths = g[keep], lengths[keep]
-    order = np.argsort(g)
-    g_sorted, w_sorted = g[order], lengths[order]
-    cum = np.cumsum(w_sorted)
-    half = cum[-1] / 2.0
-    eps = 1e-12 * cum[-1]
-    i = int(np.searchsorted(cum, half))
-    i = min(i, cum.size - 1)
-    if abs(cum[i] - half) <= eps and i + 1 < cum.size:
-        # exact half-split: any value between the two levels is optimal
-        c = (g_sorted[i] + g_sorted[i + 1]) / 2.0
-    else:
-        c = g_sorted[i]
+    # any Lebesgue median of g minimizes the integral of |g - c|
+    c = _value_median(g, g, lengths)
     value = float(np.sum(lengths * np.abs(g - c)))
     return DistanceResult(
         value,

@@ -22,8 +22,8 @@ from speclab.experiments import (
     run_moment_experiment,
     run_rate_experiment,
 )
-from speclab.matlin import eig_unitary_angles
-from speclab.measures import EmpiricalMeasureCircle, EmpiricalMeasureLine, esd_line
+from speclab.matlin import eig_hermitian, eig_unitary_angles
+from speclab.measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from speclab.rng import StreamKey
 from speclab.transport import (
     GroundMetric,
@@ -100,7 +100,7 @@ def test_criterion_04_mean_measure_uniform():
         pooled = np.concatenate([
             eig_unitary_angles(
                 sample_circle_ensemble(tag, 8, StreamKey(SEED, f"{tag.value}_pool", 8, r))
-            ).angles
+            ).atoms
             for r in range(1000)
         ])
         ks = stats.kstest(pooled / TWO_PI, "uniform").statistic
@@ -177,7 +177,7 @@ def test_criterion_11_semicircle_regression():
     def mean_w1(n, reps=20):
         vals = []
         for r in range(reps):
-            m = esd_line(gue_wigner(n, StreamKey(SEED, "gue_semi", n, r)))
+            m = eig_hermitian(gue_wigner(n, StreamKey(SEED, "gue_semi", n, r)))
             vals.append(w1_line_vs_cdf(m, semicircle_cdf, support=(-2, 2)).value)
         return float(np.mean(vals))
 

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab import experiments
 from speclab.cli import main
@@ -314,6 +317,43 @@ class TestExperiment:
         assert message in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"ensemble": "symplectic", "n_grid": [4, 6, 7]}, "/n_grid: symplectic requires even"),
+        ({"ensemble": "cse", "n_grid": [4, 6, 7]}, "/n_grid: cse requires even"),
+        ({"ensemble": "compression", "n_grid": [8, 12, 16], "k_rule": "fixed:12"},
+         "/k_rule: k must be in 1..8"),
+        ({"ensemble": "compression", "k_rule": "fixed:0"}, "/k_rule: k must be in 1..4"),
+        ({"ensemble": "compression", "k_rule": "fixed:\u00b2"}, "/k_rule: unknown rule"),
+    ])
+    def test_plan_the_sampler_rejects_exits_2_before_sampling(self, tmp_path, capsys,
+                                                              overrides, message):
+        plan = write_plan(tmp_path / "plan.json", **overrides)
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                               "--out", str(outdir))
+        assert code == 2
+        assert err.startswith(f"error: invalid plan: {message}")
+        assert not outdir.exists()
+
+    def test_uncreatable_output_directory_exits_1(self, tmp_path, capsys):
+        plan = write_plan(tmp_path / "plan.json")
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                                 "--out", str(tmp_path / "file" / "run"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot create") and len(err.splitlines()) == 1
+
+    def test_unwritable_output_file_exits_1(self, tmp_path, capsys):
+        plan = write_plan(tmp_path / "plan.json")
+        outdir = tmp_path / "run"
+        (outdir / "records.csv").mkdir(parents=True)
+        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                                 "--out", str(outdir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
     def test_moments_plan_writes_summary(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json", n_grid=[4, 6, 8], moments_kmax=2)
         outdir = tmp_path / "run"
@@ -353,6 +393,78 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "group-membership",
                                "--trials", "20", "--seed", "3")
         assert code == 0
+
+
+# Plans for the no-traceback property: a small well-formed plan of any kind
+# (n <= 8, replicates <= 3), with at most one field replaced by a malformed
+# value.  No junk string holds a digit, so none converts to a large size.
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(-2.0, 3.0),
+                 st.text(alphabet="ax-. ", max_size=3), st.lists(st.none(), max_size=1))
+FIELDS = {
+    "ensemble": st.sampled_from([t.value for t in EnsembleTag]),
+    "n_grid": st.sets(st.integers(1, 8), min_size=1, max_size=3).map(sorted),
+    "replicates": st.integers(2, 3),
+    "seed": st.integers(-5, 5),
+    "k_rule": st.one_of(st.sampled_from(["half", "fixed:x", "fixed:\u00b2"]),
+                        st.integers(0, 9).map("fixed:{}".format)),
+    "t_grid": st.lists(st.floats(-1.0, 1.0), max_size=3),
+    "moments_kmax": st.integers(-1, 3),
+}
+
+
+@st.composite
+def plans(draw):
+    plan = {name: draw(field) for name, field in FIELDS.items()
+            if name in ("ensemble", "n_grid", "replicates", "seed") or draw(st.booleans())}
+    broken = draw(st.sampled_from([None, "extra"] + list(FIELDS)))
+    if broken is not None:
+        plan[broken] = draw(JUNK)
+    return plan
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return 2
+
+
+class TestNoTraceback:
+    """Any small input ends in exit 0, 1 or 2; no other exception escapes."""
+
+    @given(plan=plans(), workers=st.sampled_from(["-1", "0", "1", "x"]),
+           seed=st.sampled_from([None, "3", "-2", "abc"]), bad_out=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_experiment(self, plan, workers, seed, bad_out):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "plan.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(plan, fh)
+            out = os.path.join(tmp, "plan.json" if bad_out else "", "run")
+            argv = ["experiment", "--plan", path, "--out", out, "--workers", workers]
+            assert exit_code(argv + ([] if seed is None else ["--seed", seed])) in (0, 1, 2)
+
+    @given(ensembles=st.lists(st.sampled_from([t.value for t in EnsembleTag] + ["x"]),
+                              min_size=2, max_size=2),
+           n=st.integers(-1, 6), count=st.integers(-1, 3),
+           reference=st.sampled_from(["uniform-circle", "semicircle", "pair", "missing"]),
+           metric=st.sampled_from(["geodesic", "chordal", "euclidean", "taxicab"]),
+           p=st.sampled_from(["1", "1.5", "0.5", "nan", "x"]))
+    @settings(max_examples=40, deadline=None)
+    def test_sample_then_distance(self, ensembles, n, count, reference, metric, p):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, f"{i}.csv") for i in range(2)]
+            for ensemble, path in zip(ensembles, paths):
+                argv = ["sample", "--ensemble", ensemble, "--n", str(n),
+                        "--count", str(count), "--out", path]
+                assert exit_code(argv) in (0, 1, 2)
+            ref = {"pair": paths[1], "missing": os.path.join(tmp, "none.csv")}.get(
+                reference, reference)
+            argv = ["distance", "--input", paths[0], "--reference", ref,
+                    "--metric", metric, "--p", p]
+            assert exit_code(argv) in (0, 1, 2)
 
 
 SCIPY_GUARD = textwrap.dedent("""

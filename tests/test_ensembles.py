@@ -60,7 +60,7 @@ class TestHaarUnitary:
         traces1, traces2 = [], []
         for r in range(2000):
             u = haar_unitary(8, key("unitary_mom", 8, r))
-            ang = eig_unitary_angles(u).angles
+            ang = eig_unitary_angles(u).atoms
             traces1.append(np.sum(np.exp(1j * ang)) / 8)
             traces2.append(np.sum(np.exp(2j * ang)))
         for traces in (np.array(traces1), np.array(traces2)):
@@ -80,7 +80,7 @@ class TestRealGroups:
 
     def test_so3_fixes_an_axis(self):
         for r in range(20):
-            ang = eig_unitary_angles(haar_so(3, key("so3", 3, r))).angles
+            ang = eig_unitary_angles(haar_so(3, key("so3", 3, r))).atoms
             nearest = min(ang.min(), TWO_PI - ang.max())
             assert nearest < 1e-8
 
@@ -105,14 +105,14 @@ class TestSymplectic:
 
     def test_angles_closed_under_reflection(self):
         for r in range(10):
-            ang = eig_unitary_angles(haar_symplectic(4, key("symplectic", 8, r))).angles
+            ang = eig_unitary_angles(haar_symplectic(4, key("symplectic", 8, r))).atoms
             reflected = np.sort(np.mod(TWO_PI - ang, TWO_PI))
             diff = np.abs(np.sort(ang) - reflected)
             diff = np.minimum(diff, TWO_PI - diff)
             assert np.max(diff) < 1e-8
 
     def test_sp1_pair(self):
-        ang = eig_unitary_angles(haar_symplectic(1, key("symplectic", 2, 3))).angles
+        ang = eig_unitary_angles(haar_symplectic(1, key("symplectic", 2, 3))).atoms
         assert ang[0] + ang[1] == pytest.approx(TWO_PI, abs=1e-10)
 
 
@@ -124,7 +124,7 @@ class TestCircularEnsembles:
 
     def test_cse_kramers_doublets(self):
         for r in range(10):
-            ang = np.sort(eig_unitary_angles(sample_cse(4, key("cse", 8, r))).angles)
+            ang = np.sort(eig_unitary_angles(sample_cse(4, key("cse", 8, r))).atoms)
             pairs = ang.reshape(-1, 2)
             assert np.max(np.abs(pairs[:, 0] - pairs[:, 1])) < 1e-6
 
@@ -134,7 +134,7 @@ class TestCircularEnsembles:
         pooled = []
         for r in range(500):
             u = sample_coe(16, key("coe_unif", 16, r))
-            pooled.append(eig_unitary_angles(u).angles)
+            pooled.append(eig_unitary_angles(u).atoms)
         pooled = np.concatenate(pooled) / TWO_PI
         ks = stats.kstest(pooled, "uniform").statistic
         assert ks <= 0.02
@@ -150,7 +150,7 @@ class TestGueWigner:
         vals = []
         for r in range(200):
             a = gue_wigner(64, key("gue_m2", 64, r))
-            vals.append(np.mean(eig_hermitian(a).values ** 2))
+            vals.append(np.mean(eig_hermitian(a).atoms ** 2))
         assert abs(np.mean(vals) - 1.0) < 0.05
 
     def test_operator_norm_bounded(self):
@@ -172,7 +172,7 @@ class TestCompress:
         a = gue_wigner(6, rng_key)
         u = haar_unitary(6, key("compress_u", 6))
         m = compress(a, u, 6)
-        assert np.allclose(eig_hermitian(m).values, eig_hermitian(a).values, atol=1e-8)
+        assert np.allclose(eig_hermitian(m).atoms, eig_hermitian(a).atoms, atol=1e-8)
 
     def test_identity_compresses_to_identity(self):
         from speclab.matlin import hermitian
@@ -186,9 +186,9 @@ class TestCompress:
         for r in range(50):
             a = gue_wigner(8, key("compress_rng", 8, r))
             u = haar_unitary(8, key("compress_rng_u", 8, r))
-            vals_a = eig_hermitian(a).values
+            vals_a = eig_hermitian(a).atoms
             k = 1 + r % 8
-            vals_m = eig_hermitian(compress(a, u, k)).values
+            vals_m = eig_hermitian(compress(a, u, k)).atoms
             assert vals_m[0] >= vals_a[0] - 1e-10
             assert vals_m[-1] <= vals_a[-1] + 1e-10
 
@@ -221,9 +221,9 @@ class TestRandomizedSum:
             a = gue_wigner(8, key("rs_w_a", 8, r))
             b = gue_wigner(8, key("rs_w_b", 8, r))
             u = haar_unitary(8, key("rs_w_u", 8, r))
-            ea = eig_hermitian(a).values
-            eb = eig_hermitian(b).values
-            em = eig_hermitian(randomized_sum(a, b, u)).values
+            ea = eig_hermitian(a).atoms
+            eb = eig_hermitian(b).atoms
+            em = eig_hermitian(randomized_sum(a, b, u)).atoms
             eps = 1e-8 * (op_norm(a) + op_norm(b))
             assert em[0] >= ea[0] + eb[0] - eps
             assert em[-1] <= ea[-1] + eb[-1] + eps
@@ -247,10 +247,10 @@ class TestGroupMembership:
         plain, shifted = [], []
         for r in range(300):
             u = haar_unitary(8, key("invariance", 8, r))
-            plain.append(eig_unitary_angles(u).angles)
+            plain.append(eig_unitary_angles(u).atoms)
             from speclab.matlin import unitary
 
-            shifted.append(eig_unitary_angles(unitary(w @ u.entries)).angles)
+            shifted.append(eig_unitary_angles(unitary(w @ u.entries)).atoms)
         ks = stats.ks_2samp(np.concatenate(plain), np.concatenate(shifted)).pvalue
         assert ks > 0.01
 

@@ -17,7 +17,8 @@ from speclab.experiments import (
     two_sample_ks_critical,
     wilson_interval,
 )
-from speclab.measures import esd_line, pool
+from speclab.matlin import eig_hermitian
+from speclab.measures import pool
 from speclab.rng import StreamKey
 
 SEED = 1234
@@ -185,9 +186,9 @@ class TestRateExperiment:
         # check; its d1 must be that of the standalone sampler's spectrum
         tag, n, m = EnsembleTag.RANDOMIZED_SUM, 8, 3
         res = run_rate_experiment(ExperimentPlan(tag, (n,), m, SEED))
-        spectra = [esd_line(sample_randomized_sum(n, StreamKey(SEED, tag.value, n, r)))
+        spectra = [eig_hermitian(sample_randomized_sum(n, StreamKey(SEED, tag.value, n, r)))
                    for r in range(2 * m)]
-        pooled = pool(spectra[:m]).atoms
+        pooled = pool(spectra[:m])
         d1 = [rec.value for rec in res.records if rec.statistic == "d1"]
         assert d1 == [_d1_to_pooled(s, pooled) for s in spectra[m:]]
 

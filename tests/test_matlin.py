@@ -121,7 +121,7 @@ class TestOpNormAndDiameter:
         for _ in range(1000):
             n = int(rng.integers(2, 17))
             a = random_hermitian(rng, n)
-            vals = eig_hermitian(a).values
+            vals = eig_hermitian(a).atoms
             mid = (vals[0] + vals[-1]) / 2
             shifted = hermitian(a.entries - mid * np.eye(n))
             assert spectral_diameter(a) == pytest.approx(2 * op_norm(shifted), abs=1e-8)
@@ -156,40 +156,33 @@ class TestQrPositive:
 class TestEigHermitian:
     def test_diag_sorted(self):
         spec = eig_hermitian(hermitian(np.diag([3.0, 1.0, 2.0])))
-        assert np.allclose(spec.values, [1, 2, 3])
+        assert np.allclose(spec.atoms, [1, 2, 3])
 
     def test_2x2_hand_solve(self):
         spec = eig_hermitian(hermitian([[2, 1], [1, 2]]))
-        assert np.allclose(spec.values, [1, 3], atol=1e-12)
+        assert np.allclose(spec.atoms, [1, 3], atol=1e-12)
 
     def test_trace_and_hs_identities(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             a = random_hermitian(rng, 6)
-            vals = eig_hermitian(a).values
+            vals = eig_hermitian(a).atoms
             assert np.sum(vals) == pytest.approx(np.trace(a.entries).real, rel=1e-9)
             assert np.sum(vals**2) == pytest.approx(hs_norm(a) ** 2, rel=1e-9)
-
-    def test_eigenvectors_on_request(self):
-        rng = np.random.default_rng(12)
-        a = random_hermitian(rng, 8)
-        spec, vecs = eig_hermitian(a, vectors=True)
-        resid = hs_norm(a.entries @ vecs - vecs @ np.diag(spec.values))
-        assert resid <= 1e-10 * 8 * op_norm(a)
 
 
 class TestEigUnitaryAngles:
     def test_identity(self):
         # roundoff just below 2*pi folds to exactly 0
         for n in (1, 2, 4, 7, 64):
-            assert np.all(eig_unitary_angles(unitary(np.eye(n))).angles == 0.0)
+            assert np.all(eig_unitary_angles(unitary(np.eye(n))).atoms == 0.0)
 
     def test_diag_i_minus_one(self):
-        ang = eig_unitary_angles(unitary(np.diag([1j, -1.0]))).angles
+        ang = eig_unitary_angles(unitary(np.diag([1j, -1.0]))).atoms
         assert np.allclose(np.sort(ang), [np.pi / 2, np.pi], atol=1e-14)
 
     def test_conjugate_rotation_pair(self):
-        ang = eig_unitary_angles(unitary(np.diag([np.exp(0.3j), np.exp(-0.3j)]))).angles
+        ang = eig_unitary_angles(unitary(np.diag([np.exp(0.3j), np.exp(-0.3j)]))).atoms
         assert np.allclose(np.sort(ang), [0.3, TWO_PI - 0.3], atol=1e-12)
 
     def test_recovers_planted_angles(self):
@@ -199,7 +192,7 @@ class TestEigUnitaryAngles:
             target = np.sort(rng.uniform(0, TWO_PI, n))
             v = random_unitary(rng, n)
             u = unitary(v.entries @ np.diag(np.exp(1j * target)) @ v.entries.conj().T)
-            got = eig_unitary_angles(u).angles
+            got = eig_unitary_angles(u).atoms
             # compare as multisets on the circle
             diff = np.abs(np.sort(got) - target)
             diff = np.minimum(diff, TWO_PI - diff)
@@ -212,7 +205,7 @@ class TestCayleyEdgeCases:
     def test_eigenvalue_exactly_at_first_pole_diagonal(self, monkeypatch):
         shifts = cayley_shifts_used(monkeypatch)
         target = np.array([self.FIRST_POLE, 0.4, 3.0, 5.0])
-        got = eig_unitary_angles(unitary(np.diag(np.exp(1j * target)))).angles
+        got = eig_unitary_angles(unitary(np.diag(np.exp(1j * target)))).atoms
         assert circular_gap(got, target) < 1e-12
         assert shifts[0] == matlin.CAYLEY_SHIFTS[0]
 
@@ -232,7 +225,7 @@ class TestCayleyEdgeCases:
         monkeypatch.setattr(np.linalg, "solve", failing_once)
         shifts = cayley_shifts_used(monkeypatch)
         target = np.array([0.4, 1.0, 3.0, 5.0])
-        got = eig_unitary_angles(planted_unitary(np.random.default_rng(20), target)).angles
+        got = eig_unitary_angles(planted_unitary(np.random.default_rng(20), target)).atoms
         assert circular_gap(got, target) < 1e-12
         assert shifts == list(matlin.CAYLEY_SHIFTS)
 
@@ -240,7 +233,7 @@ class TestCayleyEdgeCases:
         shifts = cayley_shifts_used(monkeypatch)
         rng = np.random.default_rng(21)
         target = np.concatenate([[self.FIRST_POLE], rng.uniform(0, TWO_PI, 15)])
-        got = eig_unitary_angles(planted_unitary(rng, target)).angles
+        got = eig_unitary_angles(planted_unitary(rng, target)).atoms
         assert circular_gap(got, target) < 1e-12
         # the first pass saw an angle on the pole and moved it
         assert len(shifts) == 2
@@ -251,26 +244,26 @@ class TestCayleyEdgeCases:
         rng = np.random.default_rng(22)
         n = 64
         target = np.concatenate([[self.FIRST_POLE + 1e-4 / n], rng.uniform(0, TWO_PI, n - 1)])
-        got = eig_unitary_angles(planted_unitary(rng, target)).angles
+        got = eig_unitary_angles(planted_unitary(rng, target)).atoms
         assert len(shifts) == 2
         assert circular_gap(got, target) < 1e-12
 
     def test_quarter_turns_exact(self):
         target = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2] * 3)
-        ang = eig_unitary_angles(unitary(np.diag(np.exp(1j * target)))).angles
+        ang = eig_unitary_angles(unitary(np.diag(np.exp(1j * target)))).atoms
         assert circular_gap(ang, target) < 1e-14
 
     def test_so_odd_fixed_one(self):
         for r in range(20):
             n = 2 * (r % 4) + 3
-            ang = eig_unitary_angles(haar_so(n, StreamKey(31, "so", n, r))).angles
+            ang = eig_unitary_angles(haar_so(n, StreamKey(31, "so", n, r))).atoms
             assert np.min(geodesic_to(ang, 0.0)) < 1e-12
             assert circular_gap(ang, np.mod(-ang, TWO_PI)) < 1e-12
 
     def test_so_minus_fixed_eigenvalues(self):
         for r in range(20):
             n = r % 7 + 2
-            ang = eig_unitary_angles(haar_so_minus(n, StreamKey(32, "so_minus", n, r))).angles
+            ang = eig_unitary_angles(haar_so_minus(n, StreamKey(32, "so_minus", n, r))).atoms
             assert np.min(geodesic_to(ang, np.pi)) < 1e-12
             if n % 2 == 0:
                 assert np.min(geodesic_to(ang, 0.0)) < 1e-12
@@ -278,7 +271,7 @@ class TestCayleyEdgeCases:
 
     def test_cse_kramers_doublets(self):
         for r in range(20):
-            ang = eig_unitary_angles(sample_cse(8, StreamKey(33, "cse", 16, r))).angles
+            ang = eig_unitary_angles(sample_cse(8, StreamKey(33, "cse", 16, r))).atoms
             cut = ang[np.argmax(np.diff(ang, append=ang[0] + TWO_PI))]
             pairs = np.sort(np.mod(ang - cut - 1e-3, TWO_PI)).reshape(-1, 2)
             assert np.max(pairs[:, 1] - pairs[:, 0]) < 1e-12
@@ -287,7 +280,7 @@ class TestCayleyEdgeCases:
         for r in range(3):
             u = haar_unitary(256, StreamKey(34, "unitary", 256, r))
             want = np.mod(np.angle(np.linalg.eigvals(u.entries)), TWO_PI)
-            assert circular_gap(eig_unitary_angles(u).angles, want) < 1e-12
+            assert circular_gap(eig_unitary_angles(u).atoms, want) < 1e-12
 
     def test_non_unitary_input_rejected(self):
         for bad in (2 * np.eye(3), [[1.0, 1.0], [0.0, 1.0]], np.diag([1.0, 1j * 1.001])):

@@ -5,15 +5,13 @@ import pytest
 
 from speclab.ensembles import gue_wigner, haar_unitary
 from speclab.errors import ContractError
-from speclab.matlin import hermitian, unitary
+from speclab.matlin import eig_hermitian, eig_unitary_angles, hermitian, unitary
 from speclab.measures import (
     EmpiricalMeasureCircle,
     EmpiricalMeasureLine,
     PiecewiseLinearTestFunction,
     SemicircleReference,
     UniformCircleReference,
-    esd_circle,
-    esd_line,
     pool,
     linear_statistic,
 )
@@ -46,27 +44,27 @@ def random_circle_function(rng, n_knots=6, lipschitz=1.0):
 
 class TestEsd:
     def test_identity_all_zero_angles(self):
-        m = esd_circle(unitary(np.eye(4)))
+        m = eig_unitary_angles(unitary(np.eye(4)))
         assert np.allclose(m.atoms, 0.0)
         assert len(m) == 4
 
     def test_diag_pm_one(self):
-        m = esd_circle(unitary(np.diag([1.0, -1.0])))
+        m = eig_unitary_angles(unitary(np.diag([1.0, -1.0])))
         assert np.allclose(np.sort(m.atoms), [0.0, np.pi])
 
     def test_line_diag(self):
-        m = esd_line(hermitian(np.diag([3.0, 1.0])))
+        m = eig_hermitian(hermitian(np.diag([3.0, 1.0])))
         assert np.allclose(m.atoms, [1.0, 3.0])
 
     def test_similarity_invariance(self):
         a = gue_wigner(8, StreamKey(5, "esd_sim", 8, 0))
         u = haar_unitary(8, StreamKey(5, "esd_sim_u", 8, 0))
         conj = hermitian(u.entries @ a.entries @ u.entries.conj().T)
-        assert np.allclose(esd_line(a).atoms, esd_line(conj).atoms, atol=1e-8)
+        assert np.allclose(eig_hermitian(a).atoms, eig_hermitian(conj).atoms, atol=1e-8)
 
     def test_gue_atom_range(self):
         # semicircle support [-2, 2] plus edge fluctuation, at the frozen seed
-        m = esd_line(gue_wigner(512, StreamKey(20260826, "gue_range", 512, 0)))
+        m = eig_hermitian(gue_wigner(512, StreamKey(20260826, "gue_range", 512, 0)))
         assert m.atoms[0] >= -2.5 and m.atoms[-1] <= 2.5
 
 
@@ -98,7 +96,7 @@ class TestPool:
         samples = []
         for r in range(1000):
             u = haar_unitary(8, StreamKey(20260826, "pool_unif", 8, r))
-            samples.append(esd_circle(u))
+            samples.append(eig_unitary_angles(u))
         pooled = pool(samples)
         ks = stats.kstest(pooled.atoms / TWO_PI, "uniform").statistic
         assert ks <= 0.02

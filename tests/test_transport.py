@@ -118,6 +118,7 @@ def quadratic_value_median(los, his, masses):
     frac = np.clip((pts[:, None] - los[None, :]) / safe_w[None, :], 0.0, 1.0)
     frac = np.where(flat[None, :], (pts[:, None] >= los[None, :]).astype(float), frac)
     vals = frac @ masses
+    jumps = (flat[None, :] & (pts[:, None] == los[None, :])) @ masses
 
     # as in the sweep: a cumulative mass within eps below half reaches it
     i = int(np.searchsorted(vals, half - eps))
@@ -126,9 +127,12 @@ def quadratic_value_median(los, his, masses):
     if i >= pts.size:
         return float(pts[-1])
     if vals[i] > half + eps:
+        below = vals[i] - jumps[i]  # mass strictly below pts[i]
+        if below <= half + eps:
+            return float(pts[i])
         a, b = pts[i - 1], pts[i]
-        fa, fb = vals[i - 1], vals[i]
-        return float(a + (half - fa) / (fb - fa) * (b - a))
+        fa = vals[i - 1]
+        return float(a + (half - fa) / (below - fa) * (b - a))
     j = i
     while j + 1 < pts.size and vals[j + 1] <= half + eps:
         j += 1
@@ -200,6 +204,13 @@ class TestCircleUniformSweep:
         assert transport._value_median(lo, his, ms) == pytest.approx(2.0, abs=1e-12)
         assert quadratic_value_median(lo, his, ms) == pytest.approx(2.0, abs=1e-12)
 
+    def test_median_inside_a_point_mass(self):
+        # unit masses at 0, 1 and 2: the cdf jumps from 1/3 to 2/3 at 1, so
+        # the median is 1 (cost 2), not a point interpolated across the jump
+        pts, ms = np.array([0.0, 1.0, 2.0]), np.ones(3)
+        assert transport._value_median(pts, pts, ms) == 1.0
+        assert quadratic_value_median(pts, pts, ms) == 1.0
+
     def test_hundred_thousand_atoms(self):
         n = 100_000
         atoms = TWO_PI * (np.arange(n) + 0.5) / n
@@ -263,8 +274,8 @@ class TestHoffmanWielandtChain:
             n = int(rng.integers(2, 17))
             a = gue_wigner(n, StreamKey(77, "hw_a", n, t))
             b = gue_wigner(n, StreamKey(77, "hw_b", n, t))
-            ma = EmpiricalMeasureLine(eig_hermitian(a).values)
-            mb = EmpiricalMeasureLine(eig_hermitian(b).values)
+            ma = eig_hermitian(a)
+            mb = eig_hermitian(b)
             d1 = wp_line(ma, mb, 1.0).value
             d2 = wp_line(ma, mb, 2.0).value
             bound = hs_norm(a.entries - b.entries) / np.sqrt(n)
