@@ -145,7 +145,7 @@ def _read_spectrum_csv(path: str):
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[0] != "replicate":
+            if header is None or len(header) < 2 or header[0] != "replicate":
                 raise ContractError(f"{path}:1: expected a 'replicate,...' header")
             width = len(header) - 1
             domain = "circle" if header[1].startswith("angle") else "line"
@@ -158,6 +158,8 @@ def _read_spectrum_csv(path: str):
                     raise ContractError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise ContractError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not UTF-8 text: {exc}") from exc
     if not values:
         raise ContractError(f"{path}: no spectra found")
     return domain, np.concatenate(values)
@@ -233,6 +235,14 @@ def _plan_value(name: str, convert, value):
         raise ContractError(f"/{name}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """``int(value)`` for a plan number; booleans and non-integral numbers
+    are refused rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -254,7 +264,7 @@ def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
         except ValueError:
             raise ContractError(f"SPECLAB_SEED must be an integer, got {env!r}") from None
     else:
-        seed = _plan_value("seed", int, raw["seed"])
+        seed = _plan_value("seed", _integer, raw["seed"])
 
     def optional(name, convert):
         value = raw.get(name)
@@ -262,12 +272,13 @@ def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
 
     return ExperimentPlan(
         ensemble=_plan_value("ensemble", EnsembleTag, raw["ensemble"]),
-        n_grid=_plan_value("n_grid", lambda grid: tuple(int(n) for n in grid), raw["n_grid"]),
-        replicates=_plan_value("replicates", int, raw["replicates"]),
+        n_grid=_plan_value("n_grid", lambda grid: tuple(_integer(n) for n in grid),
+                           raw["n_grid"]),
+        replicates=_plan_value("replicates", _integer, raw["replicates"]),
         master_seed=seed,
         k_rule=optional("k_rule", str),
         t_grid=optional("t_grid", lambda ts: tuple(float(t) for t in ts) or None),
-        moments_kmax=optional("moments_kmax", int),
+        moments_kmax=optional("moments_kmax", _integer),
     )
 
 
@@ -309,7 +320,7 @@ def _fit_dict(fit):
 def cmd_experiment(args) -> int:
     try:
         plan = load_plan(args.plan, seed_override=args.seed)
-    except (ContractError, OSError, json.JSONDecodeError) as exc:
+    except (ContractError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -383,9 +394,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_manifest_check(args) -> int:
+    path = os.path.join(args.dir, "manifest.json")
     try:
-        with open(os.path.join(args.dir, "manifest.json"), encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise ContractError("manifest must be a JSON object")
         for name, field in (("records.csv", "records_sha256"),
                             ("summary.json", "summary_sha256")):
             if _sha256_file(os.path.join(args.dir, name)) != manifest.get(field):
@@ -393,6 +407,9 @@ def cmd_manifest_check(args) -> int:
                 return EXIT_RUNTIME
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (ContractError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print("manifest check OK")
     return EXIT_OK

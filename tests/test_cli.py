@@ -303,6 +303,21 @@ class TestExperiment:
         assert code == 2
         assert err.startswith(f"error: invalid plan: /{key}:")
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_grid", [True, 4.5, 8.9]), ("n_grid", [4, 8.5, 16]), ("replicates", 2.7),
+        ("replicates", True), ("seed", 1.9), ("seed", False), ("moments_kmax", 1.5),
+    ])
+    def test_truncated_plan_number_exits_2(self, tmp_path, capsys, key, value):
+        plan = write_plan(tmp_path / "plan.json", **{key: value})
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                                 "--out", str(outdir))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: invalid plan: /{key}: expected an integer, got ")
+        assert len(err.splitlines()) == 1
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("ensemble,k_max,message", [
         ("unitary", 4, "moments_kmax=4"), ("gue_wigner", 2, "circle ensembles"),
     ])
@@ -465,6 +480,23 @@ class TestNoTraceback:
             argv = ["distance", "--input", paths[0], "--reference", ref,
                     "--metric", metric, "--p", p]
             assert exit_code(argv) in (0, 1, 2)
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"[1, 2]", b"\n",
+                                         b"replicate\n0\n"])
+    def test_file_not_utf8_or_not_the_expected_format(self, tmp_path, capsys, payload):
+        for name in ("input", "manifest.json"):
+            (tmp_path / name).write_bytes(payload)
+        for name in ("records.csv", "summary.json"):
+            (tmp_path / name).write_bytes(b"")
+        path = str(tmp_path / "input")
+        for argv, expected in (
+            (["experiment", "--plan", path, "--out", str(tmp_path / "out")], 2),
+            (["distance", "--input", path, "--reference", "semicircle"], 1),
+            (["manifest-check", str(tmp_path)], 1),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (expected, ""), argv
+            assert err.startswith("error:") and len(err.splitlines()) == 1, argv
 
 
 SCIPY_GUARD = textwrap.dedent("""

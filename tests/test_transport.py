@@ -337,8 +337,36 @@ class TestLineVsCdf:
         d2 = w1_line_vs_cdf(EmpiricalMeasureLine([a, -a]), semicircle_cdf, support=(-2, 2))
         assert d1.value == pytest.approx(d2.value, abs=1e-12)
 
+    def test_pooled_gue_pin(self):
+        # perfbench's pooled_distance workload samples these 32 GUE(64)
+        # spectra through the CLI and pins their pooled distance to the
+        # semicircle at 1e-12 in perfbench/reference.json; a CDF or
+        # quadrature edit that moves the pin fails here first
+        atoms = np.concatenate([
+            eig_hermitian(gue_wigner(64, StreamKey(20260826, "gue_wigner", 64, r))).atoms
+            for r in range(32)
+        ])
+        d = w1_line_vs_cdf(EmpiricalMeasureLine(atoms), semicircle_cdf, support=(-2, 2))
+        assert abs(d.value - 0.005361721964526397) <= 1e-12
+
+
+def numpy_semicircle_cdf(x):
+    """The array formula semicircle_cdf replaced, kept as its oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    xc = np.clip(x, -2.0, 2.0)
+    out = 0.5 + xc * np.sqrt(4.0 - xc**2) / (4.0 * np.pi) + np.arcsin(xc / 2.0) / np.pi
+    return np.where(x <= -2.0, 0.0, np.where(x >= 2.0, 1.0, out))
+
 
 class TestSemicircleCdf:
+    def test_matches_numpy_formula(self):
+        inside = [np.nextafter(-2.0, 0.0), np.nextafter(2.0, 0.0), -2.0 + 1e-12, 2.0 - 1e-12]
+        grid = np.concatenate([np.linspace(-2.2, 2.2, 20001),
+                               [-5.0, -2.0, -0.0, 0.0, 2.0, 5.0], inside])
+        got = [semicircle_cdf(float(x)) for x in grid]
+        assert all(type(v) is float for v in got)
+        assert np.max(np.abs(np.array(got) - numpy_semicircle_cdf(grid))) <= 1e-15
+
     def test_symmetry_point(self):
         assert semicircle_cdf(0.0) == pytest.approx(0.5)
 
