@@ -165,23 +165,12 @@ def _read_spectrum_csv(path: str):
     return domain, np.concatenate(values)
 
 
-def _ignored_distance_flag(args, domain: str) -> str | None:
-    """The flag the requested distance would silently ignore, if any."""
-    pair = args.reference not in ("uniform-circle", "semicircle")
-    if args.metric == "chordal" and not (pair and domain == "circle"):
-        return "--metric chordal needs a pair of angle spectra"
-    if args.metric == "euclidean" and domain == "circle":
-        return "--metric euclidean needs line spectra"
-    if args.p != 1.0 and not (pair and (domain == "line" or args.metric == "chordal")):
-        return "--p applies only to a pair of line spectra or to --metric chordal"
-    return None
-
-
 def cmd_distance(args) -> int:
     try:
         domain, atoms = _read_spectrum_csv(args.input)
-        if (flag := _ignored_distance_flag(args, domain)) is not None:
-            print(f"error: {flag}", file=sys.stderr)
+        pair = args.reference not in ("uniform-circle", "semicircle")
+        if args.p != 1.0 and not (pair and domain == "line"):
+            print("error: --p applies only to a pair of line spectra", file=sys.stderr)
             return EXIT_USAGE
         if args.reference == "uniform-circle":
             if domain != "circle":
@@ -197,12 +186,8 @@ def cmd_distance(args) -> int:
             if ref_domain != domain:
                 raise ContractError("input and reference spectra live on different domains")
             if domain == "circle":
-                m1 = EmpiricalMeasureCircle(atoms)
-                m2 = EmpiricalMeasureCircle(ref_atoms)
-                if args.metric == "chordal":
-                    result = assignment_oracle(m1, m2, GroundMetric.CIRCLE_CHORDAL, args.p)
-                else:
-                    result = w1_circle_pair(m1, m2)
+                result = w1_circle_pair(EmpiricalMeasureCircle(atoms),
+                                        EmpiricalMeasureCircle(ref_atoms))
             else:
                 result = wp_line(EmpiricalMeasureLine(atoms),
                                  EmpiricalMeasureLine(ref_atoms), args.p)
@@ -529,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="spectrum CSV")
     p.add_argument("--reference", required=True,
                    help="'uniform-circle', 'semicircle', or a second spectrum CSV")
-    p.add_argument("--metric", choices=["geodesic", "chordal", "euclidean"],
-                   default="geodesic")
     p.add_argument("--p", type=float, default=1.0)
     p.set_defaults(func=cmd_distance)
 
@@ -563,6 +546,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SpeclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

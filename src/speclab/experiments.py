@@ -10,6 +10,7 @@ are identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -70,6 +71,8 @@ class ExperimentPlan:
                                     f"moments_kmax={self.moments_kmax}, min(n_grid)={grid[0]}")
         if self.t_grid is not None:
             object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        if self.k_rule is not None and self.ensemble is not EnsembleTag.COMPRESSION:
+            raise ContractError("/k_rule: applies to compression plans only")
         if self.k_rule is not None and self.k_rule != "half":
             # isdecimal, not isdigit: int() rejects digits such as superscripts
             if not self.k_rule.startswith("fixed:") or not self.k_rule[6:].isdecimal():
@@ -253,6 +256,8 @@ def _cell(task) -> dict:
 
 
 def _parallel_map(fn, items, workers: int):
+    # the pool forks all its workers at once, so never ask for more than the CPUs
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as pool_:

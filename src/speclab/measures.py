@@ -1,13 +1,10 @@
-"""Empirical spectral measures on the circle and line, pooling, and
-piecewise-linear test-function statistics.
+"""Empirical spectral measures on the circle and the line, and pooling.
 
 This is the bottom layer: the eigensolvers in ``matlin`` return the measure
 types defined here, so the module imports no speclab module but ``errors``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,27 +56,6 @@ class EmpiricalMeasureLine:
         return type(self), (self.atoms,)
 
 
-class UniformCircleReference:
-    """The uniform probability measure on the unit circle."""
-
-    domain = "circle"
-
-
-class SemicircleReference:
-    """The standard semicircle law on [-2, 2]."""
-
-    domain = "line"
-    support = (-2.0, 2.0)
-
-    @staticmethod
-    def density(x):
-        x = np.asarray(x, dtype=np.float64)
-        inside = np.abs(x) < 2.0
-        out = np.zeros_like(x)
-        out[inside] = np.sqrt(4.0 - x[inside] ** 2) / TWO_PI
-        return out
-
-
 def pool(samples):
     """Uniform measure on the multiset union of equally-sized samples, of the
     samples' own measure type.
@@ -98,96 +74,3 @@ def pool(samples):
         if len(s) != n:
             raise ContractError("cannot pool measures with different atom counts")
     return type(samples[0])(np.concatenate([s.atoms for s in samples]))
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearTestFunction:
-    """Piecewise-linear Lipschitz function with f(anchor) = 0.
-
-    Circle functions are 2*pi-periodic with knots in [0, 2*pi) and close up
-    linearly from the last knot back to the first; the anchor is angle 0.
-    Line functions extrapolate as constants beyond the outer knots; the
-    anchor is x = 0.
-    """
-
-    domain: str
-    knots: np.ndarray
-    values: np.ndarray
-    lipschitz: float
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if knots.ndim != 1 or knots.size < 2 or knots.shape != values.shape:
-            raise ContractError("knots and values must be matching 1-D arrays, >= 2 knots")
-        if np.any(np.diff(knots) <= 0):
-            raise ContractError("knots must be strictly increasing")
-        if self.domain not in ("circle", "line"):
-            raise ContractError(f"unknown domain {self.domain!r}")
-        if self.lipschitz < 0:
-            raise ContractError("Lipschitz constant must be nonnegative")
-        if self.domain == "circle":
-            if knots[0] < 0 or knots[-1] >= TWO_PI:
-                raise ContractError("circle knots must lie in [0, 2*pi)")
-            gaps = np.diff(np.concatenate([knots, [knots[0] + TWO_PI]]))
-            rises = np.diff(np.concatenate([values, [values[0]]]))
-        else:
-            gaps = np.diff(knots)
-            rises = np.diff(values)
-        slopes = rises / gaps
-        if np.any(np.abs(slopes) > self.lipschitz * (1 + 1e-12) + 1e-15):
-            raise ContractError("segment slope exceeds the declared Lipschitz constant")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        if abs(self(0.0)) > 1e-12:
-            raise ContractError("test function must vanish at the anchor point")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.domain == "circle":
-            xw = np.mod(x, TWO_PI)
-            k = np.concatenate([self.knots, [self.knots[0] + TWO_PI]])
-            v = np.concatenate([self.values, [self.values[0]]])
-            xw = np.where(xw < k[0], xw + TWO_PI, xw)
-            return np.interp(xw, k, v)
-        return np.interp(x, self.knots, self.values)
-
-    def integral_uniform_circle(self) -> float:
-        """Exact integral against the uniform circle measure: trapezoids on
-        each linear segment including the wrap-around one."""
-        k = np.concatenate([self.knots, [self.knots[0] + TWO_PI]])
-        v = np.concatenate([self.values, [self.values[0]]])
-        seg = np.diff(k) * (v[:-1] + v[1:]) / 2.0
-        return float(np.sum(seg) / TWO_PI)
-
-    def integral_semicircle(self, tol: float = 1e-10) -> float:
-        """Integral against the semicircle density by adaptive quadrature."""
-        from scipy import integrate
-
-        lo, hi = SemicircleReference.support
-        pts = self.knots[(self.knots > lo) & (self.knots < hi)]
-        val, _ = integrate.quad(
-            lambda x: float(self(x)) * float(SemicircleReference.density(x)),
-            lo,
-            hi,
-            points=list(pts),
-            limit=200,
-            epsabs=tol,
-        )
-        return float(val)
-
-
-def integrate_against(f: PiecewiseLinearTestFunction, measure) -> float:
-    """Integral of f against an empirical measure or a continuous reference."""
-    if isinstance(measure, UniformCircleReference):
-        return f.integral_uniform_circle()
-    if isinstance(measure, SemicircleReference):
-        return f.integral_semicircle()
-    return float(np.mean(f(measure.atoms)))
-
-
-def linear_statistic(f: PiecewiseLinearTestFunction, m, ref) -> float:
-    """X_f = integral of f against m minus its integral against ref."""
-    if f.domain != m.domain or f.domain != ref.domain:
-        raise ContractError("test function and measures must share a domain")
-    return integrate_against(f, m) - integrate_against(f, ref)

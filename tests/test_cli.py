@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab import experiments
+from speclab import cli, experiments
 from speclab.cli import main
 from speclab.ensembles import EnsembleTag
 from speclab.experiments import ExperimentPlan, run_moment_experiment
@@ -65,6 +65,20 @@ class TestSample:
             main(["sample", "--ensemble", "nonsense", "--n", "4",
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        # stands in for --n 1000000; a real request that large could succeed
+        # under overcommit and then fill the machine's memory
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "sample_circle_ensemble", too_large)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(capsys, "sample", "--ensemble", "unitary",
+                                    "--n", "4", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--count"])
     def test_nonpositive_size_exits_2(self, tmp_path, capsys, flag):
@@ -136,11 +150,6 @@ class TestDistanceFlags:
         ("circle", "uniform-circle", ["--p", "2"]),
         ("line", "semicircle", ["--p", "2"]),
         ("circle", "pair", ["--p", "2"]),
-        ("circle", "uniform-circle", ["--metric", "euclidean"]),
-        ("circle", "pair", ["--metric", "euclidean"]),
-        ("line", "pair", ["--metric", "chordal"]),
-        ("line", "semicircle", ["--metric", "chordal"]),
-        ("circle", "uniform-circle", ["--metric", "chordal"]),
     ])
     def test_ignored_flag_exits_2(self, tmp_path, capsys, domain, reference, flags):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -161,14 +170,12 @@ class TestDistanceFlags:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_line_csv(a, [0.0, 1.0])
         write_line_csv(b, [1.0, 2.0])
-        # geodesic is the default metric and reads as euclidean on the line
         code, out, _ = run_cli(capsys, "distance", "--input", str(a), "--reference", str(b),
-                               "--metric", "geodesic", "--p", "2")
+                               "--p", "2")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0)
         assert json.loads(out)["p"] == 2.0
-        code, out, _ = run_cli(capsys, "distance", "--input", str(a), "--reference", "semicircle",
-                               "--metric", "euclidean")
+        code, out, _ = run_cli(capsys, "distance", "--input", str(a), "--reference", "semicircle")
         assert code == 0
 
 
@@ -339,6 +346,8 @@ class TestExperiment:
          "/k_rule: k must be in 1..8"),
         ({"ensemble": "compression", "k_rule": "fixed:0"}, "/k_rule: k must be in 1..4"),
         ({"ensemble": "compression", "k_rule": "fixed:\u00b2"}, "/k_rule: unknown rule"),
+        ({"ensemble": "unitary", "k_rule": "fixed:3"},
+         "/k_rule: applies to compression plans only"),
     ])
     def test_plan_the_sampler_rejects_exits_2_before_sampling(self, tmp_path, capsys,
                                                               overrides, message):
@@ -349,6 +358,18 @@ class TestExperiment:
         assert code == 2
         assert err.startswith(f"error: invalid plan: {message}")
         assert not outdir.exists()
+
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        # stands in for a plan whose n_grid is too large for memory
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(experiments, "sample_circle_ensemble", too_large)
+        plan = write_plan(tmp_path / "plan.json")
+        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
     def test_uncreatable_output_directory_exits_1(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json")
@@ -465,10 +486,9 @@ class TestNoTraceback:
                               min_size=2, max_size=2),
            n=st.integers(-1, 6), count=st.integers(-1, 3),
            reference=st.sampled_from(["uniform-circle", "semicircle", "pair", "missing"]),
-           metric=st.sampled_from(["geodesic", "chordal", "euclidean", "taxicab"]),
            p=st.sampled_from(["1", "1.5", "0.5", "nan", "x"]))
     @settings(max_examples=40, deadline=None)
-    def test_sample_then_distance(self, ensembles, n, count, reference, metric, p):
+    def test_sample_then_distance(self, ensembles, n, count, reference, p):
         with tempfile.TemporaryDirectory() as tmp:
             paths = [os.path.join(tmp, f"{i}.csv") for i in range(2)]
             for ensemble, path in zip(ensembles, paths):
@@ -477,8 +497,7 @@ class TestNoTraceback:
                 assert exit_code(argv) in (0, 1, 2)
             ref = {"pair": paths[1], "missing": os.path.join(tmp, "none.csv")}.get(
                 reference, reference)
-            argv = ["distance", "--input", paths[0], "--reference", ref,
-                    "--metric", metric, "--p", p]
+            argv = ["distance", "--input", paths[0], "--reference", ref, "--p", p]
             assert exit_code(argv) in (0, 1, 2)
 
     @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"[1, 2]", b"\n",

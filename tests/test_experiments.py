@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab import experiments
 from speclab.ensembles import EnsembleTag, sample_randomized_sum
 from speclab.errors import ContractError
 from speclab.experiments import (
@@ -144,6 +145,32 @@ class TestRateExperiment:
         r3 = run_rate_experiment(plan, workers=3)
         assert r1.records == r3.records
         assert r1.summaries == r3.summaries
+
+    @pytest.mark.parametrize("cpus,pool_sizes", [(3, [3]), (1, []), (None, [])])
+    def test_worker_count_is_bounded_by_the_cpus(self, monkeypatch, cpus, pool_sizes):
+        # the pool forks every worker up front, so --workers 100000 must not
+        # reach it; a recording executor maps serially, so nothing is forked
+        sizes = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        plan = ExperimentPlan(EnsembleTag.UNITARY, (4, 8), 3, SEED)
+        serial = run_rate_experiment(plan, workers=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert run_rate_experiment(plan, workers=100_000).records == serial.records
+        assert sizes == pool_sizes
 
     def test_moments_ride_along_with_d1(self):
         plan = ExperimentPlan(EnsembleTag.SO, (6, 8), 30, SEED, moments_kmax=4)

@@ -9,37 +9,12 @@ from speclab.matlin import eig_hermitian, eig_unitary_angles, hermitian, unitary
 from speclab.measures import (
     EmpiricalMeasureCircle,
     EmpiricalMeasureLine,
-    PiecewiseLinearTestFunction,
-    SemicircleReference,
-    UniformCircleReference,
     pool,
-    linear_statistic,
 )
 from speclab.rng import StreamKey
-from speclab.transport import w1_circle_pair, w1_circle_uniform, wp_line
+from speclab.transport import w1_circle_uniform
 
 TWO_PI = 2 * np.pi
-
-
-def geodesic_to_zero(lipschitz=1.0):
-    """f(theta) = geodesic distance to angle 0, a 1-Lipschitz hat function."""
-    knots = np.array([0.0, np.pi])
-    values = np.array([0.0, np.pi * lipschitz])
-    return PiecewiseLinearTestFunction("circle", knots, values, lipschitz)
-
-
-def random_circle_function(rng, n_knots=6, lipschitz=1.0):
-    knots = np.sort(rng.uniform(0, TWO_PI, n_knots))
-    knots[0] = 0.0
-    values = np.zeros(n_knots)
-    for i in range(1, n_knots):
-        gap = knots[i] - knots[i - 1]
-        values[i] = values[i - 1] + rng.uniform(-lipschitz, lipschitz) * gap
-    # close the loop within the Lipschitz budget: pull values towards zero mean slope
-    wrap_gap = TWO_PI - knots[-1]
-    if abs(values[-1]) > lipschitz * wrap_gap:
-        values *= lipschitz * wrap_gap / abs(values[-1])
-    return PiecewiseLinearTestFunction("circle", knots, values, lipschitz)
 
 
 class TestEsd:
@@ -102,72 +77,12 @@ class TestPool:
         assert ks <= 0.02
 
 
-class TestTestFunctionStatistic:
-    def test_zero_function(self):
-        f = PiecewiseLinearTestFunction("circle", [0.0, np.pi], [0.0, 0.0], 1.0)
-        m = EmpiricalMeasureCircle([1.0, 2.0])
-        assert linear_statistic(f, m, UniformCircleReference()) == pytest.approx(0.0)
-
-    def test_same_measure_gives_zero(self):
-        f = geodesic_to_zero()
-        m = EmpiricalMeasureCircle([1.0, 2.0, 4.0])
-        assert linear_statistic(f, m, m) == pytest.approx(0.0, abs=1e-14)
-
-    def test_delta_at_zero_vs_uniform(self):
-        # integral of the geodesic hat against nu is pi/2
-        f = geodesic_to_zero()
-        m = EmpiricalMeasureCircle([0.0])
-        x = linear_statistic(f, m, UniformCircleReference())
-        assert x == pytest.approx(-np.pi / 2, abs=1e-12)
-
-    def test_domain_mismatch(self):
-        f = geodesic_to_zero()
-        with pytest.raises(ContractError):
-            linear_statistic(f, EmpiricalMeasureLine([0.0]), SemicircleReference())
-
-    def test_semicircle_first_absolute_moment(self):
-        # integral of |x| against the semicircle is 8 / (3 pi)
-        f = PiecewiseLinearTestFunction("line", [-3.0, 0.0, 3.0], [3.0, 0.0, 3.0], 1.0)
-        m = EmpiricalMeasureLine([0.0])
-        x = linear_statistic(f, m, SemicircleReference())
-        assert x == pytest.approx(-8 / (3 * np.pi), abs=1e-9)
-
-    def test_dual_bound_against_d1(self):
-        # |X_f| <= L * d1(m, ref) for every L-Lipschitz test function
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            m1 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))
-            m2 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))
-            lip = float(rng.uniform(0.5, 2.0))
-            f = random_circle_function(rng, lipschitz=lip)
-            xf = linear_statistic(f, m1, m2)
-            d1 = w1_circle_pair(m1, m2).value
-            assert abs(xf) <= lip * d1 + 1e-10
-
-    def test_rotation_equivariance_of_distance(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            n = int(rng.integers(1, 12))
-            atoms = rng.uniform(0, TWO_PI, n)
-            phi = float(rng.uniform(0, TWO_PI))
-            d0 = w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value
-            d1 = w1_circle_uniform(EmpiricalMeasureCircle(np.mod(atoms + phi, TWO_PI))).value
-            assert d0 == pytest.approx(d1, abs=1e-10)
-
-
-class TestPiecewiseLinearValidation:
-    def test_slope_exceeding_lipschitz_rejected(self):
-        with pytest.raises(ContractError):
-            PiecewiseLinearTestFunction("line", [0.0, 1.0], [0.0, 2.0], 1.0)
-
-    def test_nonzero_anchor_rejected(self):
-        with pytest.raises(ContractError):
-            PiecewiseLinearTestFunction("line", [-1.0, 1.0], [1.0, 1.0], 1.0)
-
-    def test_circle_wrap_slope_checked(self):
-        # final knot must come back to the first within the Lipschitz budget
-        with pytest.raises(ContractError):
-            PiecewiseLinearTestFunction(
-                "circle", [0.0, TWO_PI - 0.01], [0.0, 5.0], 1.0
-            )
+def test_rotation_equivariance_of_distance():
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        n = int(rng.integers(1, 12))
+        atoms = rng.uniform(0, TWO_PI, n)
+        phi = float(rng.uniform(0, TWO_PI))
+        d0 = w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value
+        d1 = w1_circle_uniform(EmpiricalMeasureCircle(np.mod(atoms + phi, TWO_PI))).value
+        assert d0 == pytest.approx(d1, abs=1e-10)
