@@ -4,11 +4,16 @@ experiment plans, and verifying property suites.
 Exit codes: 0 success/verified, 1 runtime or data error, 2 usage or schema
 error.  The environment variable SPECLAB_SEED overrides a plan's seed;
 explicit --seed flags override both.
+
+``experiments``, and with it the process pool, is imported only inside the
+commands that run plans or property suites (``experiment`` and ``verify``),
+so ``sample``, ``distance`` and ``manifest-check`` do not pay for it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,19 +21,13 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .ensembles import CIRCLE_TAGS, HALF_DIMENSION_TAGS, EnsembleTag, sample_circle_ensemble, gue_wigner
 from .errors import SpeclabError, ContractError
-from .experiments import (
-    RATE_SLOPE_MAX,
-    ExperimentPlan,
-    concentration_tails,
-    run_lipschitz_suite,
-    run_rate_experiment,
-)
 from .matlin import eig_hermitian, eig_unitary_angles
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from .rng import StreamKey
@@ -41,6 +40,9 @@ from .transport import (
     w1_line_vs_cdf,
     wp_line,
 )
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentPlan
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -65,11 +67,24 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_whole(path: str, payload: str) -> None:
+    """Write payload to a temporary file beside path and move it into place,
+    so that path holds either its old contents or all of payload."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _write_json(path: str, obj) -> str:
     """Write obj as indented, key-sorted JSON; returns the file's sha256."""
     payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
+    _write_whole(path, payload)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -229,6 +244,8 @@ def _integer(value) -> int:
 
 
 def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
+    from .experiments import ExperimentPlan
+
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -303,6 +320,8 @@ def _fit_dict(fit):
 
 
 def cmd_experiment(args) -> int:
+    from .experiments import RATE_SLOPE_MAX, concentration_tails, run_rate_experiment
+
     try:
         plan = load_plan(args.plan, seed_override=args.seed)
     except (ContractError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -310,10 +329,18 @@ def cmd_experiment(args) -> int:
         return EXIT_USAGE
 
     started = _utcnow()
+    manifest_path = os.path.join(args.out, "manifest.json")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create {args.out}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    # an earlier run's manifest would vouch for its files after this run fails
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest_path)
+    except OSError as exc:
+        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     summary: dict = {"plan": canonical_plan_dict(plan)}
     rate = run_rate_experiment(plan, workers=args.workers)
@@ -350,9 +377,7 @@ def cmd_experiment(args) -> int:
 
     csv_payload = records_to_csv(rate.records)
     try:
-        with open(os.path.join(args.out, "records.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(csv_payload)
+        _write_whole(os.path.join(args.out, "records.csv"), csv_payload)
         summary_sha256 = _write_json(os.path.join(args.out, "summary.json"), summary)
         manifest = {
             "tool_version": __version__,
@@ -364,7 +389,7 @@ def cmd_experiment(args) -> int:
             "records_sha256": hashlib.sha256(csv_payload.encode("utf-8")).hexdigest(),
             "summary_sha256": summary_sha256,
         }
-        _write_json(os.path.join(args.out, "manifest.json"), manifest)
+        _write_json(manifest_path, manifest)
     except OSError as exc:
         print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -464,6 +489,8 @@ def _verify_group_membership(trials: int, seed: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .experiments import run_lipschitz_suite
+
     total = 0
     suites = [args.suite] if args.suite != "all" else [
         "lipschitz", "transport-oracle", "group-membership",

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, NumericalFailureError
+from .errors import ContractError, NumericalFailureError
 from .matlin import ComplexMatrix, HermitianView, UnitaryView, qr_positive, det_lu
 from .rng import StreamKey, standard_complex_normal, subkey
 
@@ -130,12 +130,15 @@ def haar_su(n: int, key: StreamKey) -> UnitaryView:
 
 
 def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
-    """Haar-distributed Sp(n) inside U(2n): quaternionic Ginibre followed by
-    quaternionic Gram-Schmidt with positive (real) norm normalization.
+    """Haar-distributed Sp(n) inside U(2n): the positive-diagonal QR of a
+    quaternionic Ginibre matrix (Mezzadri, Notices AMS 2007).
 
     Quaternions are embedded as 2x2 complex blocks [[a, -conj(b)], [b, conj(a)]],
-    aligned with the form J so that unitarity plus the quaternionic pairing
-    column_{2k+1} = J conj(column_{2k}) is exactly U J U^T = J.
+    aligned with the form J so that a unitary matrix of such blocks is exactly
+    one with U J U^T = J.  The embedded quaternionic upper-triangular factor
+    is complex upper triangular with a positive diagonal, so by uniqueness
+    the complex QR of the embedded Ginibre matrix is its quaternionic QR, and
+    Q is a Haar Sp(n) sample.
     """
     if half_n < 1:
         raise ContractError("half dimension must be at least 1")
@@ -143,29 +146,15 @@ def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
     rng = key.generator()
     a = standard_complex_normal(rng, (n, n))
     b = standard_complex_normal(rng, (n, n))
-    g = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    g = np.empty((2 * n, 2 * n), dtype=np.complex128)
     g[0::2, 0::2] = a
     g[0::2, 1::2] = -b.conj()
     g[1::2, 0::2] = b
     g[1::2, 1::2] = a.conj()
 
+    out, _ = qr_positive(ComplexMatrix(g))
+    q = out.entries
     j = symplectic_form(n)
-    q = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    for k in range(n):
-        v = g[:, 2 * k].copy()
-        # two Gram-Schmidt passes for orthogonality at large n
-        for _ in range(2):
-            if k > 0:
-                prev = q[:, : 2 * k]
-                v -= prev @ (prev.conj().T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-150:
-            raise DegenerateInputError("quaternionic Ginibre column degenerate")
-        v /= nrm
-        q[:, 2 * k] = v
-        q[:, 2 * k + 1] = j @ v.conj()
-
-    out = UnitaryView(ComplexMatrix(q))
     defect = np.linalg.norm(q @ j @ q.T - j)
     if defect > 1e-8 * np.sqrt(n):
         raise NumericalFailureError(f"symplectic identity violated by {defect:.3e}")

@@ -49,7 +49,15 @@ def subkey(key: StreamKey, label: str) -> StreamKey:
 
 
 def standard_complex_normal(rng: Generator, shape) -> np.ndarray:
-    """i.i.d. complex standard normals: real and imaginary parts N(0, 1/2)."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """i.i.d. complex standard normals: real and imaginary parts N(0, 1/2).
+
+    All real parts are drawn first, then all imaginary parts, straight into
+    one complex buffer.  The scaling multiplies by 1/sqrt(2), which is what
+    numpy's division of a complex array by a real scalar computes, so the
+    values are bitwise those of ``(re + 1j * im) / np.sqrt(2.0)``.
+    """
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= 1.0 / np.sqrt(2.0)
+    return out

@@ -371,6 +371,53 @@ class TestExperiment:
         assert (code, out) == (1, "")
         assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
+    def test_failed_rerun_leaves_no_manifest_to_vouch_for_old_files(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        plan = write_plan(tmp_path / "plan.json")
+        outdir = tmp_path / "run"
+        assert run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir))[0] == 0
+        assert run_cli(capsys, "manifest-check", str(outdir))[0] == 0
+
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(experiments, "sample_circle_ensemble", too_large)
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir),
+                               "--seed", "5")
+        assert code == 1 and err.startswith("error: out of memory")
+        code, out, err = run_cli(capsys, "manifest-check", str(outdir))
+        assert (code, out) == (1, "") and err.startswith("error:")
+        assert sorted(os.listdir(outdir)) == ["records.csv", "summary.json"]
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_failed_write_leaves_no_partial_or_temporary_file(self, tmp_path, capsys,
+                                                              monkeypatch, failing):
+        # os.replace fails on the failing-th output: records.csv, summary.json, manifest.json
+        plan = write_plan(tmp_path / "plan.json")
+        outdir = tmp_path / "run"
+        assert run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir))[0] == 0
+        before = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
+        moves = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            moves.append(dst)
+            if len(moves) == failing:
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir),
+                                 "--seed", "5")
+        monkeypatch.undo()
+        assert (code, out) == (1, "") and err.startswith("error: cannot write")
+        names = sorted(os.listdir(outdir))
+        assert "manifest.json" not in names and not any(n.endswith(".tmp") for n in names)
+        moved = {os.path.basename(m) for m in moves[:failing - 1]}
+        for name in set(names) - moved:  # a file not moved keeps the old run's bytes
+            assert (outdir / name).read_bytes() == before[name]
+        assert run_cli(capsys, "manifest-check", str(outdir))[0] == 1
+
     def test_uncreatable_output_directory_exits_1(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json")
         (tmp_path / "file").write_text("")
@@ -518,39 +565,81 @@ class TestNoTraceback:
             assert err.startswith("error:") and len(err.splitlines()) == 1, argv
 
 
-SCIPY_GUARD = textwrap.dedent("""
-    import json, os, sys
+IMPORT_GUARD = textwrap.dedent("""
+    import hashlib, json, os, sys
     import speclab.cli as cli
 
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    EXPERIMENT_STACK = ("speclab.experiments", "concurrent.futures.process",
+                        "multiprocessing")
+
+    def modules():
+        return {
+            "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+            "experiment_stack": sorted(m for m in EXPERIMENT_STACK if m in sys.modules),
+        }
 
     out = sys.argv[1]
-    loaded = {"import": scipy_modules()}
-    assert cli.main(["sample", "--ensemble", "unitary", "--n", "4", "--count", "3",
-                     "--out", os.path.join(out, "u.csv")]) == 0
-    loaded["sample"] = scipy_modules()
-    assert cli.main(["distance", "--input", os.path.join(out, "u.csv"),
+    loaded = {"import": modules()}
+    assert cli.main(["sample", "--ensemble", "symplectic", "--n", "2", "--count", "3",
+                     "--out", os.path.join(out, "s.csv")]) == 0
+    loaded["sample"] = modules()
+    assert cli.main(["distance", "--input", os.path.join(out, "s.csv"),
                      "--reference", "uniform-circle"]) == 0
-    loaded["distance"] = scipy_modules()
+    loaded["distance"] = modules()
+    run = os.path.join(out, "by-hand")
+    os.mkdir(run)
+    manifest = {}
+    for name, field in (("records.csv", "records_sha256"), ("summary.json", "summary_sha256")):
+        with open(os.path.join(run, name), "wb") as fh:
+            fh.write(name.encode())
+        manifest[field] = hashlib.sha256(name.encode()).hexdigest()
+    with open(os.path.join(run, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    assert cli.main(["manifest-check", run]) == 0
+    loaded["manifest-check"] = modules()
     with open(os.path.join(out, "plan.json"), "w") as fh:
         json.dump({"ensemble": "unitary", "n_grid": [2, 3, 4], "replicates": 2,
                    "seed": 1}, fh)
-    assert cli.main(["experiment", "--plan", os.path.join(out, "plan.json"),
-                     "--out", os.path.join(out, "run")]) == 0
-    loaded["experiment"] = scipy_modules()
+    records = []
+    for workers in ("1", "2"):
+        run = os.path.join(out, "w" + workers)
+        assert cli.main(["experiment", "--plan", os.path.join(out, "plan.json"),
+                         "--out", run, "--workers", workers]) == 0
+        assert cli.main(["manifest-check", run]) == 0
+        with open(os.path.join(run, "records.csv"), "rb") as fh:
+            records.append(fh.read())
+    assert records[0] == records[1]
+    loaded["experiment"] = modules()
     print(json.dumps(loaded))
 """)
 
 
-def test_cli_commands_load_no_scipy(tmp_path):
-    # scipy costs about a second to import; commands that never reach
-    # quadrature, the assignment oracle or the KS test must not pay for it
+@pytest.fixture(scope="module")
+def modules_loaded_by_command(tmp_path_factory):
+    """The watched modules in sys.modules after each command of one fresh
+    interpreter: import, sample, distance, manifest-check, then experiment."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD,
+                           str(tmp_path_factory.mktemp("guard"))],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "sample": [], "distance": [], "experiment": []}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_commands_load_no_scipy(modules_loaded_by_command):
+    # scipy costs about a second to import; commands that never reach
+    # quadrature, the assignment oracle or the KS test must not pay for it
+    assert {command: loaded["scipy"] for command, loaded
+            in modules_loaded_by_command.items()} == {
+        "import": [], "sample": [], "distance": [], "manifest-check": [], "experiment": []}
+
+
+def test_one_shot_commands_load_no_experiment_stack(modules_loaded_by_command):
+    # sample, distance and manifest-check run no plan: they must not pay for
+    # importing experiments and the process pool behind it
+    stack = {command: loaded["experiment_stack"] for command, loaded
+             in modules_loaded_by_command.items()}
+    assert "speclab.experiments" in stack.pop("experiment")
+    assert stack == {"import": [], "sample": [], "distance": [], "manifest-check": []}

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,9 @@ from speclab.ensembles import (
 )
 from speclab.errors import ContractError
 from speclab.matlin import det_lu, eig_hermitian, eig_unitary_angles, hs_norm, op_norm
-from speclab.rng import StreamKey
+from speclab.measures import EmpiricalMeasureCircle
+from speclab.rng import StreamKey, standard_complex_normal
+from speclab.transport import w1_circle_uniform
 
 TWO_PI = 2 * np.pi
 SEED = 1234
@@ -48,6 +53,18 @@ class TestGinibre:
         g0 = ginibre_complex(8, key("ginibre", 8, 0)).entries
         g1 = ginibre_complex(8, key("ginibre", 8, 1)).entries
         assert np.all(g0 != g1)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (8, 8), (5, 7), (128, 128), (17,)])
+    def test_complex_normal_is_bitwise_the_old_expression(self, shape):
+        for r in range(4):
+            k = key("ginibre_bits", 8, r)
+            rng = k.generator()
+            re = rng.standard_normal(shape)
+            im = rng.standard_normal(shape)
+            expected = (re + 1j * im) / np.sqrt(2.0)
+            got = standard_complex_normal(k.generator(), shape)
+            assert got.dtype == np.complex128 and got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestHaarUnitary:
@@ -114,6 +131,58 @@ class TestSymplectic:
     def test_sp1_pair(self):
         ang = eig_unitary_angles(haar_symplectic(1, key("symplectic", 2, 3))).atoms
         assert ang[0] + ang[1] == pytest.approx(TWO_PI, abs=1e-10)
+
+    @pytest.mark.parametrize("half_n", [1, 2, 3, 4, 8, 32, 64])
+    def test_matches_quaternionic_gram_schmidt(self, half_n):
+        for r in range(4):
+            k = key("symplectic", 2 * half_n, r)
+            expected = gram_schmidt_symplectic(half_n, k)
+            assert np.max(np.abs(haar_symplectic(half_n, k).entries - expected)) <= 1e-13
+
+    def test_pooled_benchmark_pin(self):
+        # perfbench's pooled_distance workload samples these 64 Sp(32)
+        # spectra through the CLI and pins their pooled distance to the
+        # uniform law at 1e-12 in perfbench/reference.json
+        with open(REFERENCE, encoding="utf-8") as fh:
+            reference = json.load(fh)
+        atoms = np.concatenate([
+            eig_unitary_angles(haar_symplectic(32, StreamKey(reference["seed"], "symplectic",
+                                                             64, r))).atoms
+            for r in range(64)
+        ])
+        d = w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value
+        assert abs(d - reference["pooled_distance"]["uniform-circle"]) <= 1e-12
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "reference.json")
+
+
+def gram_schmidt_symplectic(half_n, k):
+    """The quaternionic Gram-Schmidt sampler that the shared QR replaced,
+    kept as its oracle: same stream, same embedding, two orthogonalization
+    passes per column, and the paired column J conj(v)."""
+    n = half_n
+    rng = k.generator()
+    a = standard_complex_normal(rng, (n, n))
+    b = standard_complex_normal(rng, (n, n))
+    g = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    g[0::2, 0::2] = a
+    g[0::2, 1::2] = -b.conj()
+    g[1::2, 0::2] = b
+    g[1::2, 1::2] = a.conj()
+    j = symplectic_form(n)
+    q = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    for col in range(n):
+        v = g[:, 2 * col].copy()
+        for _ in range(2):
+            if col > 0:
+                prev = q[:, : 2 * col]
+                v -= prev @ (prev.conj().T @ v)
+        v /= np.linalg.norm(v)
+        q[:, 2 * col] = v
+        q[:, 2 * col + 1] = j @ v.conj()
+    return q
 
 
 class TestCircularEnsembles:
