@@ -18,8 +18,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -112,13 +114,9 @@ def cmd_sample(args) -> int:
             u = sample_circle_ensemble(tag, n, key)
             spec = eig_unitary_angles(u).atoms
             colname = "angle"
-        elif tag is EnsembleTag.GUE_WIGNER:
+        else:  # argparse choices leave only gue_wigner
             spec = eig_hermitian(gue_wigner(n, key)).atoms
             colname = "eigenvalue"
-        else:
-            print(f"error: ensemble {tag.value} has no direct sampling form; "
-                  "use an experiment plan", file=sys.stderr)
-            return EXIT_USAGE
         rows.append((r, spec))
 
     buf = io.StringIO()
@@ -243,6 +241,18 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``float(value)`` for a plan number.  Booleans, which would run as 0
+    or 1, are refused, and so are NaN and the infinities, which would reach
+    summary.json as tokens that strict JSON readers reject."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    real = float(value)
+    if not math.isfinite(real):
+        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+    return real
+
+
 def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
     from .experiments import ExperimentPlan
 
@@ -279,7 +289,7 @@ def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
         replicates=_plan_value("replicates", _integer, raw["replicates"]),
         master_seed=seed,
         k_rule=optional("k_rule", str),
-        t_grid=optional("t_grid", lambda ts: tuple(float(t) for t in ts) or None),
+        t_grid=optional("t_grid", lambda ts: tuple(_real(t) for t in ts) or None),
         moments_kmax=optional("moments_kmax", _integer),
     )
 
@@ -305,18 +315,6 @@ def records_to_csv(records) -> str:
         writer.writerow([rec.ensemble, rec.n, rec.replicate, rec.statistic,
                          _fmt(rec.value), rec.key.master_seed])
     return buf.getvalue()
-
-
-def _fit_dict(fit):
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "slope_stderr": fit.slope_stderr,
-        "r_squared": fit.r_squared,
-        "n_used": fit.n_used,
-    }
 
 
 def cmd_experiment(args) -> int:
@@ -348,12 +346,8 @@ def cmd_experiment(args) -> int:
         conc = concentration_tails(rate, plan.t_grid)
         summary["concentration"] = {
             "std_by_n": [{"n": n, "std": s} for n, s in conc.std_by_n],
-            "std_fit": _fit_dict(conc.std_fit),
-            "tails": [
-                {"n": t.n, "t": t.t, "p_hat": t.p_hat, "replicates": t.replicates,
-                 "wilson_low": t.wilson_low, "wilson_high": t.wilson_high}
-                for t in conc.tails
-            ],
+            "std_fit": None if conc.std_fit is None else asdict(conc.std_fit),
+            "tails": [asdict(t) for t in conc.tails],
         }
     else:
         summary["rate"] = {
@@ -362,18 +356,12 @@ def cmd_experiment(args) -> int:
                  "ci95": [s.ci95_low, s.ci95_high]}
                 for s in rate.summaries
             ],
-            "fit": _fit_dict(rate.fit),
+            "fit": None if rate.fit is None else asdict(rate.fit),
             "slope_flag_leq_-0.6": bool(rate.fit and rate.fit.slope <= -0.6),
             "warnings": list(rate.warnings),
         }
     if plan.moments_kmax:
-        summary["moments"] = [
-            {"ensemble": e.ensemble, "n": e.n, "k": e.k, "mean_re": e.mean_re,
-             "mean_im": e.mean_im, "stderr": e.stderr,
-             "zero_consistent": e.zero_consistent,
-             "bounded_consistent": e.bounded_consistent}
-            for e in rate.moments
-        ]
+        summary["moments"] = [asdict(e) for e in rate.moments]
 
     csv_payload = records_to_csv(rate.records)
     try:
@@ -473,11 +461,11 @@ def _verify_group_membership(trials: int, seed: int) -> int:
                 m = u.entries
                 if hs_norm(m @ m.conj().T - np.eye(amb)) > 1e-10 * np.sqrt(amb):
                     bad += 1
-                if tag is EnsembleTag.SU and abs(det_lu(u.inner) - 1) > 1e-8:
+                if tag is EnsembleTag.SU and abs(det_lu(u) - 1) > 1e-8:
                     bad += 1
-                if tag is EnsembleTag.SO and abs(det_lu(u.inner) - 1) > 1e-8:
+                if tag is EnsembleTag.SO and abs(det_lu(u) - 1) > 1e-8:
                     bad += 1
-                if tag is EnsembleTag.SO_MINUS and abs(det_lu(u.inner) + 1) > 1e-8:
+                if tag is EnsembleTag.SO_MINUS and abs(det_lu(u) + 1) > 1e-8:
                     bad += 1
                 if tag is EnsembleTag.COE and hs_norm(m - m.T) > 1e-10 * np.sqrt(amb):
                     bad += 1
@@ -505,12 +493,10 @@ def cmd_verify(args) -> int:
             bad = _verify_transport_oracle(args.trials, args.seed)
             if bad:
                 print(f"transport-oracle: {bad} mismatches", file=sys.stderr)
-        elif suite == "group-membership":
+        else:  # group-membership
             bad = _verify_group_membership(args.trials, args.seed)
             if bad:
                 print(f"group-membership: {bad} failures", file=sys.stderr)
-        else:  # unreachable behind argparse choices
-            return EXIT_USAGE
         print(f"{suite}: {'OK' if bad == 0 else f'{bad} violations'}")
         total += bad
     return EXIT_OK if total == 0 else EXIT_RUNTIME

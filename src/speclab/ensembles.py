@@ -61,6 +61,15 @@ def symplectic_form(half_n: int) -> np.ndarray:
     return np.kron(np.eye(half_n), block)
 
 
+def _j_times(m: np.ndarray) -> np.ndarray:
+    """J @ m for the symplectic form J of matching size: a strided swap of
+    row pairs with a sign, bitwise equal to the dense product."""
+    out = np.empty_like(m)
+    out[0::2] = -m[1::2]
+    out[1::2] = m[0::2]
+    return out
+
+
 def ginibre_complex(n: int, key: StreamKey) -> ComplexMatrix:
     """n-by-n matrix of i.i.d. complex standard normals."""
     if n < 1:
@@ -79,26 +88,24 @@ def ginibre_real(n: int, key: StreamKey) -> ComplexMatrix:
 
 def haar_unitary(n: int, key: StreamKey) -> UnitaryView:
     """Haar-distributed U(n): positive-diagonal QR of a complex Ginibre matrix."""
-    q, _ = qr_positive(ginibre_complex(n, key))
-    return q
+    return qr_positive(ginibre_complex(n, key))
 
 
 def haar_orthogonal(n: int, key: StreamKey) -> UnitaryView:
     """Haar-distributed O(n): positive-diagonal QR of a real Ginibre matrix."""
-    q, _ = qr_positive(ginibre_real(n, key))
-    return q
+    return qr_positive(ginibre_real(n, key))
 
 
 def _with_det_sign(u: UnitaryView, want_positive: bool) -> UnitaryView:
     """Flip the last column if det has the wrong sign.  Right translation by
     diag(1,...,1,-1) preserves Haar measure and swaps the two components."""
-    det = det_lu(u.inner).real
+    det = det_lu(u).real
     target = 1.0 if want_positive else -1.0
     if det * target < 0:
         m = u.entries.copy()
         m[:, -1] = -m[:, -1]
-        u = UnitaryView(ComplexMatrix(m))
-        det = det_lu(u.inner).real
+        u = UnitaryView(m)
+        det = det_lu(u).real
     if abs(det - target) > DET_TOL:
         raise NumericalFailureError(f"determinant {det} not within {DET_TOL} of {target}")
     return u
@@ -119,11 +126,11 @@ def haar_su(n: int, key: StreamKey) -> UnitaryView:
     by det(U)^{-1}.  The correction commutes with left SU(n)-translations, so
     the output law is left-invariant, hence Haar."""
     u = haar_unitary(n, key)
-    det = det_lu(u.inner)
+    det = det_lu(u)
     m = u.entries.copy()
     m[:, -1] = m[:, -1] / det
-    out = UnitaryView(ComplexMatrix(m))
-    det_out = det_lu(out.inner)
+    out = UnitaryView(m)
+    det_out = det_lu(out)
     if abs(det_out - 1.0) > DET_TOL:
         raise NumericalFailureError(f"det of SU sample is {det_out}, not 1")
     return out
@@ -152,10 +159,14 @@ def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
     g[1::2, 0::2] = b
     g[1::2, 1::2] = a.conj()
 
-    out, _ = qr_positive(ComplexMatrix(g))
+    out = qr_positive(ComplexMatrix(g))
     q = out.entries
-    j = symplectic_form(n)
-    defect = np.linalg.norm(q @ j @ q.T - j)
+    # U J U^T - J, where J's only entries are -1 at (2k, 2k+1) and 1 at (2k+1, 2k)
+    residual = q @ _j_times(q.T)
+    pairs = np.arange(0, 2 * n, 2)
+    residual[pairs, pairs + 1] += 1.0
+    residual[pairs + 1, pairs] -= 1.0
+    defect = np.linalg.norm(residual)
     if defect > 1e-8 * np.sqrt(n):
         raise NumericalFailureError(f"symplectic identity violated by {defect:.3e}")
     return out
@@ -164,7 +175,7 @@ def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
 def sample_coe(n: int, key: StreamKey) -> UnitaryView:
     """COE(n): V^T V with V Haar on U(n).  Output is unitary and symmetric."""
     v = haar_unitary(n, key).entries
-    return UnitaryView(ComplexMatrix(v.T @ v))
+    return UnitaryView(v.T @ v)
 
 
 def sample_cse(half_n: int, key: StreamKey) -> UnitaryView:
@@ -172,8 +183,8 @@ def sample_cse(half_n: int, key: StreamKey) -> UnitaryView:
     if half_n < 1:
         raise ContractError("half dimension must be at least 1")
     v = haar_unitary(2 * half_n, key).entries
-    j = symplectic_form(half_n)
-    return UnitaryView(ComplexMatrix(j @ v.T @ j.T @ v))
+    # J V^T J^T = J (J V)^T
+    return UnitaryView(_j_times(_j_times(v).T) @ v)
 
 
 def gue_wigner(n: int, key: StreamKey) -> HermitianView:
@@ -184,7 +195,7 @@ def gue_wigner(n: int, key: StreamKey) -> HermitianView:
     """
     g = ginibre_complex(n, key).entries
     a = (g + g.conj().T) / np.sqrt(2.0 * n)
-    return HermitianView(ComplexMatrix(a))
+    return HermitianView(a)
 
 
 def compress(a: HermitianView, u: UnitaryView, k: int) -> HermitianView:
@@ -198,7 +209,7 @@ def compress(a: HermitianView, u: UnitaryView, k: int) -> HermitianView:
     m = u.entries @ a.entries @ u.entries.conj().T
     block = m[:k, :k]
     block = (block + block.conj().T) / 2.0  # scrub roundoff asymmetry
-    return HermitianView(ComplexMatrix(block))
+    return HermitianView(block)
 
 
 def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> HermitianView:
@@ -210,7 +221,7 @@ def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> Hermit
         )
     m = u.entries @ a.entries @ u.entries.conj().T + b.entries
     m = (m + m.conj().T) / 2.0
-    return HermitianView(ComplexMatrix(m))
+    return HermitianView(m)
 
 
 def sample_circle_ensemble(tag: EnsembleTag, n: int, key: StreamKey) -> UnitaryView:

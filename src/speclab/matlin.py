@@ -24,7 +24,11 @@ from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine
 
 
 class ComplexMatrix:
-    """Dense n-by-n complex matrix with finiteness checked at construction."""
+    """Dense n-by-n complex matrix with finiteness checked at construction.
+
+    ``HermitianView`` and ``UnitaryView`` run these checks on raw entries and
+    then certify their property.
+    """
 
     __slots__ = ("entries", "dim")
 
@@ -41,71 +45,39 @@ class ComplexMatrix:
         self.dim = arr.shape[0]
 
     def __repr__(self):
-        return f"ComplexMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-class HermitianView:
+class HermitianView(ComplexMatrix):
     """A ComplexMatrix certified Hermitian: ||A - A*|| <= 1e-12 ||A|| in HS norm."""
 
-    __slots__ = ("inner",)
+    __slots__ = ()
 
-    def __init__(self, inner: ComplexMatrix):
-        a = inner.entries
+    def __init__(self, entries):
+        super().__init__(entries)
+        a = self.entries
         defect = np.linalg.norm(a - a.conj().T)
         scale = np.linalg.norm(a)
         if defect > 1e-12 * max(scale, 1e-300):
             raise ContractError(
                 f"matrix is not Hermitian: ||A - A*|| = {defect:.3e} vs ||A|| = {scale:.3e}"
             )
-        self.inner = inner
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.inner.entries
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    def __repr__(self):
-        return f"HermitianView(dim={self.dim})"
 
 
-class UnitaryView:
+class UnitaryView(ComplexMatrix):
     """A ComplexMatrix certified unitary: ||U U* - I|| <= 1e-10 sqrt(n)."""
 
-    __slots__ = ("inner",)
+    __slots__ = ()
 
-    def __init__(self, inner: ComplexMatrix):
-        u = inner.entries
-        n = inner.dim
+    def __init__(self, entries):
+        super().__init__(entries)
+        u = self.entries
+        n = self.dim
         defect = np.linalg.norm(u @ u.conj().T - np.eye(n))
         if defect > 1e-10 * np.sqrt(n):
             raise ContractError(
                 f"matrix is not unitary: ||UU* - I|| = {defect:.3e} at n = {n}"
             )
-        self.inner = inner
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.inner.entries
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    def __repr__(self):
-        return f"UnitaryView(dim={self.dim})"
-
-
-def hermitian(entries) -> HermitianView:
-    """Shorthand: build a HermitianView from raw entries."""
-    return HermitianView(ComplexMatrix(entries))
-
-
-def unitary(entries) -> UnitaryView:
-    """Shorthand: build a UnitaryView from raw entries."""
-    return UnitaryView(ComplexMatrix(entries))
 
 
 def hs_norm(a) -> float:
@@ -136,20 +108,19 @@ def spectral_diameter(a: HermitianView) -> float:
     return float(vals[-1] - vals[0])
 
 
-def qr_positive(g: ComplexMatrix):
-    """QR factorization with R's diagonal real and strictly positive.
+def qr_positive(g: ComplexMatrix) -> UnitaryView:
+    """The Q of the QR factorization whose R has a real, strictly positive
+    diagonal.
 
     This normalization makes the factorization unique and is what turns the
-    Q of a Gaussian matrix into a Haar-distributed unitary.
+    Q of a Gaussian matrix into a Haar-distributed unitary (Mezzadri, Notices
+    AMS 2007).  Only Q is returned: R's phases are moved into Q's columns.
     """
     q, r = np.linalg.qr(g.entries)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r)
     if np.any(np.abs(d) < 1e-300):
         raise DegenerateInputError("input is numerically rank-deficient")
-    phases = d / np.abs(d)
-    q = q * phases[np.newaxis, :]
-    r = r / phases[:, np.newaxis]
-    return UnitaryView(ComplexMatrix(q)), ComplexMatrix(r)
+    return UnitaryView(q * (d / np.abs(d))[np.newaxis, :])
 
 
 def det_lu(a: ComplexMatrix) -> complex:
@@ -233,7 +204,7 @@ def eig_unitary_angles(u: UnitaryView) -> EmpiricalMeasureCircle:
     # roundoff can park an angle at (or just below) 2*pi
     angles = np.where(angles >= TWO_PI - 1e-12, 0.0, angles)
     prod = np.exp(1j * np.sum(angles))
-    det = det_lu(u.inner)
+    det = det_lu(u)
     if abs(prod - det) > 1e-8 * n:
         raise NumericalFailureError(
             f"angle product disagrees with det(U) by {abs(prod - det):.3e}"

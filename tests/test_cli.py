@@ -302,6 +302,10 @@ class TestExperiment:
     @pytest.mark.parametrize("key,value", [
         ("replicates", "ten"), ("replicates", float("inf")), ("n_grid", [4, "eight"]),
         ("seed", "x"), ("ensemble", "nonsense"), ("t_grid", 0.5), ("moments_kmax", "two"),
+        # NaN and infinities are not JSON, and a boolean is not a deviation
+        ("t_grid", [float("nan"), True]), ("t_grid", [float("inf")]),
+        ("t_grid", [float("-inf")]), ("t_grid", [0.01, True]), ("t_grid", ["nan"]),
+        ("k_rule", float("nan")), ("seed", float("-inf")), ("moments_kmax", float("nan")),
     ])
     def test_plan_error_names_its_key(self, tmp_path, capsys, key, value):
         plan = write_plan(tmp_path / "plan.json", **{key: value})
@@ -309,6 +313,7 @@ class TestExperiment:
                                "--out", str(tmp_path / "out"))
         assert code == 2
         assert err.startswith(f"error: invalid plan: /{key}:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("key,value", [
         ("n_grid", [True, 4.5, 8.9]), ("n_grid", [4, 8.5, 16]), ("replicates", 2.7),

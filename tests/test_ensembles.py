@@ -23,7 +23,15 @@ from speclab.ensembles import (
     symplectic_form,
 )
 from speclab.errors import ContractError
-from speclab.matlin import det_lu, eig_hermitian, eig_unitary_angles, hs_norm, op_norm
+from speclab.matlin import (
+    HermitianView,
+    UnitaryView,
+    det_lu,
+    eig_hermitian,
+    eig_unitary_angles,
+    hs_norm,
+    op_norm,
+)
 from speclab.measures import EmpiricalMeasureCircle
 from speclab.rng import StreamKey, standard_complex_normal
 from speclab.transport import w1_circle_uniform
@@ -89,7 +97,7 @@ class TestRealGroups:
     def test_so_determinant(self):
         for r in range(20):
             u = haar_so(5, key("so", 5, r))
-            assert abs(det_lu(u.inner).real - 1) <= 1e-8
+            assert abs(det_lu(u).real - 1) <= 1e-8
 
     def test_so_minus_n1_is_minus_one(self):
         u = haar_so_minus(1, key("so_minus", 1))
@@ -106,7 +114,7 @@ class TestHaarSu:
     def test_det_is_one(self):
         for r in range(20):
             u = haar_su(6, key("su", 6, r))
-            assert abs(det_lu(u.inner) - 1) <= 1e-8
+            assert abs(det_lu(u) - 1) <= 1e-8
 
     def test_su1_is_trivial(self):
         u = haar_su(1, key("su", 1))
@@ -244,9 +252,7 @@ class TestCompress:
         assert np.allclose(eig_hermitian(m).atoms, eig_hermitian(a).atoms, atol=1e-8)
 
     def test_identity_compresses_to_identity(self):
-        from speclab.matlin import hermitian
-
-        a = hermitian(np.eye(5))
+        a = HermitianView(np.eye(5))
         u = haar_unitary(5, key("compress_id", 5))
         m = compress(a, u, 3)
         assert np.allclose(m.entries, np.eye(3), atol=1e-12)
@@ -270,19 +276,15 @@ class TestCompress:
 
 class TestRandomizedSum:
     def test_zero_a_gives_b(self):
-        from speclab.matlin import hermitian
-
         b = gue_wigner(5, key("rs_b", 5))
         u = haar_unitary(5, key("rs_u", 5))
-        m = randomized_sum(hermitian(np.zeros((5, 5))), b, u)
+        m = randomized_sum(HermitianView(np.zeros((5, 5))), b, u)
         assert np.allclose(m.entries, b.entries)
 
     def test_identity_u_gives_plain_sum(self):
-        from speclab.matlin import hermitian, unitary
-
         a = gue_wigner(5, key("rs_a", 5))
         b = gue_wigner(5, key("rs_b2", 5))
-        m = randomized_sum(a, b, unitary(np.eye(5)))
+        m = randomized_sum(a, b, UnitaryView(np.eye(5)))
         assert np.allclose(m.entries, a.entries + b.entries)
 
     def test_weyl_containment(self):
@@ -317,9 +319,7 @@ class TestGroupMembership:
         for r in range(300):
             u = haar_unitary(8, key("invariance", 8, r))
             plain.append(eig_unitary_angles(u).atoms)
-            from speclab.matlin import unitary
-
-            shifted.append(eig_unitary_angles(unitary(w @ u.entries)).atoms)
+            shifted.append(eig_unitary_angles(UnitaryView(w @ u.entries)).atoms)
         ks = stats.ks_2samp(np.concatenate(plain), np.concatenate(shifted)).pvalue
         assert ks > 0.01
 

@@ -5,7 +5,7 @@ import pytest
 
 from speclab.ensembles import gue_wigner, haar_unitary
 from speclab.errors import ContractError
-from speclab.matlin import eig_hermitian, eig_unitary_angles, hermitian, unitary
+from speclab.matlin import HermitianView, UnitaryView, eig_hermitian, eig_unitary_angles
 from speclab.measures import (
     EmpiricalMeasureCircle,
     EmpiricalMeasureLine,
@@ -19,22 +19,22 @@ TWO_PI = 2 * np.pi
 
 class TestEsd:
     def test_identity_all_zero_angles(self):
-        m = eig_unitary_angles(unitary(np.eye(4)))
+        m = eig_unitary_angles(UnitaryView(np.eye(4)))
         assert np.allclose(m.atoms, 0.0)
         assert len(m) == 4
 
     def test_diag_pm_one(self):
-        m = eig_unitary_angles(unitary(np.diag([1.0, -1.0])))
+        m = eig_unitary_angles(UnitaryView(np.diag([1.0, -1.0])))
         assert np.allclose(np.sort(m.atoms), [0.0, np.pi])
 
     def test_line_diag(self):
-        m = eig_hermitian(hermitian(np.diag([3.0, 1.0])))
+        m = eig_hermitian(HermitianView(np.diag([3.0, 1.0])))
         assert np.allclose(m.atoms, [1.0, 3.0])
 
     def test_similarity_invariance(self):
         a = gue_wigner(8, StreamKey(5, "esd_sim", 8, 0))
         u = haar_unitary(8, StreamKey(5, "esd_sim_u", 8, 0))
-        conj = hermitian(u.entries @ a.entries @ u.entries.conj().T)
+        conj = HermitianView(u.entries @ a.entries @ u.entries.conj().T)
         assert np.allclose(eig_hermitian(a).atoms, eig_hermitian(conj).atoms, atol=1e-8)
 
     def test_gue_atom_range(self):
