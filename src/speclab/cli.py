@@ -18,7 +18,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -100,10 +99,6 @@ def _ambient_dim(tag: EnsembleTag, n: int) -> int:
 
 
 def cmd_sample(args) -> int:
-    for flag, value in (("--n", args.n), ("--count", args.count)):
-        if value < 1:
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
     tag = EnsembleTag(args.ensemble)
     n = _ambient_dim(tag, args.n)
     started = _utcnow()
@@ -222,88 +217,20 @@ def cmd_distance(args) -> int:
 # experiment
 
 
-PLAN_FIELDS = {"ensemble", "n_grid", "replicates", "seed", "k_rule", "t_grid", "moments_kmax"}
-
-
-def _plan_value(name: str, convert, value):
-    """``convert(value)``, with a failure reported against the plan key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ContractError(f"/{name}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """``int(value)`` for a plan number; booleans and non-integral numbers
-    are refused rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """``float(value)`` for a plan number.  Booleans, which would run as 0
-    or 1, are refused, and so are NaN and the infinities, which would reach
-    summary.json as tokens that strict JSON readers reject."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {json.dumps(value)}")
-    real = float(value)
-    if not math.isfinite(real):
-        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
-    return real
-
-
 def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
+    """The plan in a JSON plan file, its seed taken from ``seed_override``,
+    else SPECLAB_SEED, else the file."""
     from .experiments import ExperimentPlan
 
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ContractError("/: plan must be a JSON object")
-    for field in ("ensemble", "n_grid", "replicates", "seed"):
-        if field not in raw:
-            raise ContractError(f"/{field}: required field missing")
-    unknown = set(raw) - PLAN_FIELDS
-    if unknown:
-        raise ContractError(f"/{sorted(unknown)[0]}: unknown field")
-    if not isinstance(raw["n_grid"], list) or not raw["n_grid"]:
-        raise ContractError("/n_grid: must be a nonempty array of integers")
-    if seed_override is not None:
-        seed = seed_override
-    elif (env := os.environ.get("SPECLAB_SEED")) is not None:
+    seed = seed_override
+    if seed is None and (env := os.environ.get("SPECLAB_SEED")) is not None:
         try:
             seed = int(env)
         except ValueError:
             raise ContractError(f"SPECLAB_SEED must be an integer, got {env!r}") from None
-    else:
-        seed = _plan_value("seed", _integer, raw["seed"])
-
-    def optional(name, convert):
-        value = raw.get(name)
-        return None if value is None else _plan_value(name, convert, value)
-
-    return ExperimentPlan(
-        ensemble=_plan_value("ensemble", EnsembleTag, raw["ensemble"]),
-        n_grid=_plan_value("n_grid", lambda grid: tuple(_integer(n) for n in grid),
-                           raw["n_grid"]),
-        replicates=_plan_value("replicates", _integer, raw["replicates"]),
-        master_seed=seed,
-        k_rule=optional("k_rule", str),
-        t_grid=optional("t_grid", lambda ts: tuple(_real(t) for t in ts) or None),
-        moments_kmax=optional("moments_kmax", _integer),
-    )
-
-
-def canonical_plan_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "ensemble": plan.ensemble.value,
-        "n_grid": list(plan.n_grid),
-        "replicates": plan.replicates,
-        "seed": plan.master_seed,
-        "k_rule": plan.k_rule,
-        "t_grid": list(plan.t_grid) if plan.t_grid else None,
-        "moments_kmax": plan.moments_kmax,
-    }
+    return ExperimentPlan.from_json(raw, seed=seed)
 
 
 def records_to_csv(records) -> str:
@@ -322,7 +249,8 @@ def cmd_experiment(args) -> int:
 
     try:
         plan = load_plan(args.plan, seed_override=args.seed)
-    except (ContractError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: not UTF-8, not JSON, or an integer longer than Python converts
+    except (ContractError, OSError, ValueError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -340,7 +268,7 @@ def cmd_experiment(args) -> int:
     except OSError as exc:
         print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    summary: dict = {"plan": canonical_plan_dict(plan)}
+    summary: dict = {"plan": asdict(plan)}
     rate = run_rate_experiment(plan, workers=args.workers)
     if plan.t_grid:
         conc = concentration_tails(rate, plan.t_grid)
@@ -369,8 +297,8 @@ def cmd_experiment(args) -> int:
         summary_sha256 = _write_json(os.path.join(args.out, "summary.json"), summary)
         manifest = {
             "tool_version": __version__,
-            "master_seed": plan.master_seed,
-            "plan": canonical_plan_dict(plan),
+            "master_seed": plan.seed,
+            "plan": asdict(plan),
             "started_utc": started,
             "finished_utc": _utcnow(),
             "record_count": len(rate.records),
@@ -406,7 +334,7 @@ def cmd_manifest_check(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ContractError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ContractError, ValueError) as exc:  # ValueError: as for a plan file
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print("manifest check OK")
@@ -555,6 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("n", "count", "workers", "trials"):  # the flags that count something
+        if (value := getattr(args, flag, 1)) < 1:
+            print(f"error: --{flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except SpeclabError as exc:

@@ -9,10 +9,13 @@ are identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -38,57 +41,115 @@ from .transport import w1_circle_uniform, wp_line
 RATE_SLOPE_MAX = {tag: -0.6 for tag in EnsembleTag} | {EnsembleTag.COMPRESSION: -0.25}
 
 
+def _show(value) -> str:
+    """A plan value as JSON writes it, for refusal messages."""
+    return json.dumps(value, default=repr)
+
+
+def _integer(key: str, value) -> int:
+    """A plan integer.  Booleans, strings and non-integral numbers are
+    refused rather than converted or truncated."""
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral)
+                                        or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ContractError(f"/{key}: expected an integer, got {_show(value)}")
+
+
+def _real(key: str, value) -> float:
+    """A plan real.  Booleans, which would run as 0 or 1, and strings are
+    refused, and so are NaN and the infinities, which would reach
+    summary.json as tokens that strict JSON readers reject."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            if math.isfinite(real := float(value)):
+                return real
+    raise ContractError(f"/{key}: expected a finite number, got {_show(value)}")
+
+
+def _array(key: str, value, item) -> tuple:
+    """A plan array, each element converted by ``item(key, element)``."""
+    if not isinstance(value, (list, tuple)):
+        raise ContractError(f"/{key}: expected an array, got {_show(value)}")
+    return tuple(item(key, v) for v in value)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Declarative description of one Monte-Carlo run."""
+    """Declarative description of one Monte-Carlo run.  The fields are the
+    plan file's keys, so ``asdict(plan)`` is the plan block of summary.json;
+    every refusal is a ``ContractError`` that starts with ``/<key>:``."""
 
     ensemble: EnsembleTag
     n_grid: tuple
     replicates: int
-    master_seed: int
+    seed: int
     k_rule: str | None = None  # "half" or "fixed:<int>"; compressions only
-    t_grid: tuple | None = None
+    t_grid: tuple | None = None  # an empty grid is None: no concentration tails
     moments_kmax: int | None = None
 
+    @classmethod
+    def from_json(cls, raw, seed: int | None = None) -> ExperimentPlan:
+        """The plan a decoded JSON plan file describes.  ``seed``, when
+        given, replaces the file's seed, which must still be present."""
+        if not isinstance(raw, dict):
+            raise ContractError("/: plan must be a JSON object")
+        schema = fields(cls)
+        for f in schema:
+            if f.default is MISSING and f.name not in raw:
+                raise ContractError(f"/{f.name}: required field missing")
+        unknown = sorted(set(raw) - {f.name for f in schema})
+        if unknown:
+            raise ContractError(f"/{unknown[0]}: unknown field")
+        return cls(**(raw if seed is None else {**raw, "seed": seed}))
+
     def __post_init__(self):
-        object.__setattr__(self, "ensemble", EnsembleTag(self.ensemble))
-        grid = tuple(int(n) for n in self.n_grid)
+        try:
+            tag = EnsembleTag(self.ensemble)
+        except (TypeError, ValueError):
+            raise ContractError(f"/ensemble: unknown ensemble {_show(self.ensemble)}") from None
+        grid = _array("n_grid", self.n_grid, _integer)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ContractError("n_grid must be nonempty and strictly ascending")
-        if any(n < 1 for n in grid):
-            raise ContractError("dimensions must be positive")
-        if self.ensemble in HALF_DIMENSION_TAGS and any(n % 2 for n in grid):
-            raise ContractError(f"/n_grid: {self.ensemble.value} requires even ambient "
+            raise ContractError(f"/n_grid: must be nonempty and strictly ascending, "
+                                f"got {list(grid)}")
+        if grid[0] < 1:
+            raise ContractError(f"/n_grid: dimensions must be positive, got {list(grid)}")
+        replicates = _integer("replicates", self.replicates)
+        if replicates < 2:
+            raise ContractError(f"/replicates: need at least 2, got {replicates}")
+        seed = _integer("seed", self.seed)
+        k_rule = self.k_rule
+        # isdecimal, not isdigit: int() rejects digits such as superscripts
+        if k_rule is not None and not (isinstance(k_rule, str) and (
+                k_rule == "half" or k_rule.startswith("fixed:") and k_rule[6:].isdecimal())):
+            raise ContractError(f"/k_rule: unknown rule {_show(k_rule)}")
+        t_grid = None if self.t_grid is None else _array("t_grid", self.t_grid, _real) or None
+        kmax = None if self.moments_kmax is None else _integer("moments_kmax", self.moments_kmax)
+        if kmax is not None and kmax < 1:
+            raise ContractError(f"/moments_kmax: must be at least 1, got {kmax}")
+        for name, value in (("ensemble", tag), ("n_grid", grid), ("replicates", replicates),
+                            ("seed", seed), ("t_grid", t_grid), ("moments_kmax", kmax)):
+            object.__setattr__(self, name, value)
+
+        # checks that span several keys
+        if tag in HALF_DIMENSION_TAGS and any(n % 2 for n in grid):
+            raise ContractError(f"/n_grid: {tag.value} requires even ambient "
                                 f"dimensions, got {list(grid)}")
-        object.__setattr__(self, "n_grid", grid)
-        if self.replicates < 2:
-            raise ContractError("need at least 2 replicates")
-        if self.moments_kmax:
-            if self.ensemble not in CIRCLE_TAGS:
-                raise ContractError("moments_kmax applies to circle ensembles only")
-            if self.moments_kmax >= grid[0]:
-                raise ContractError(f"moment order must satisfy k < n, got "
-                                    f"moments_kmax={self.moments_kmax}, min(n_grid)={grid[0]}")
-        if self.t_grid is not None:
-            object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        if self.k_rule is not None and self.ensemble is not EnsembleTag.COMPRESSION:
+        if kmax is not None and tag not in CIRCLE_TAGS:
+            raise ContractError("/moments_kmax: applies to circle ensembles only")
+        if kmax is not None and kmax >= grid[0]:
+            raise ContractError(f"/moments_kmax: moment order must satisfy k < n, got "
+                                f"moments_kmax={kmax}, min(n_grid)={grid[0]}")
+        if k_rule is not None and tag is not EnsembleTag.COMPRESSION:
             raise ContractError("/k_rule: applies to compression plans only")
-        if self.k_rule is not None and self.k_rule != "half":
-            # isdecimal, not isdigit: int() rejects digits such as superscripts
-            if not self.k_rule.startswith("fixed:") or not self.k_rule[6:].isdecimal():
-                raise ContractError(f"/k_rule: unknown rule {self.k_rule!r}")
-        if self.ensemble is EnsembleTag.COMPRESSION:
-            for n in grid:
-                if not 1 <= self.k_of(n) <= n:
-                    raise ContractError(f"/k_rule: k must be in 1..{n}, "
-                                        f"got {self.k_of(n)} at n={n}")
+        # the grid ascends, so a k that fits its first n fits every n
+        n = grid[0]
+        if tag is EnsembleTag.COMPRESSION and not 1 <= self.k_of(n) <= n:
+            raise ContractError(f"/k_rule: k must be in 1..{n}, got {self.k_of(n)} at n={n}")
 
     def k_of(self, n: int) -> int:
         if self.k_rule in (None, "half"):
             return math.ceil(n / 2)
-        if self.k_rule.startswith("fixed:"):
-            return int(self.k_rule.split(":", 1)[1])
-        raise ContractError(f"unknown k_rule {self.k_rule!r}")
+        return int(self.k_rule[6:])
 
 
 @dataclass(frozen=True)
@@ -235,7 +296,7 @@ def _cell(task) -> dict:
     """
     plan, n, r = task
     tag = plan.ensemble
-    key = StreamKey(plan.master_seed, tag.value, n, r)
+    key = StreamKey(plan.seed, tag.value, n, r)
     if tag in CIRCLE_TAGS:
         measure = eig_unitary_angles(sample_circle_ensemble(tag, n, key))
         out = {"d1": w1_circle_uniform(measure).value}
@@ -319,7 +380,7 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
             for c in block[first:]:
                 c["d1"] = _d1_to_pooled(c["spectrum"], pooled)
         for r in range(first, reps):
-            key = StreamKey(plan.master_seed, tag.value, n, r)
+            key = StreamKey(plan.seed, tag.value, n, r)
             for stat in ("d1", "weyl_violation"):
                 if stat in block[r]:
                     records.append(SummaryRecord(tag.value, n, r, stat, block[r][stat], key))

@@ -306,6 +306,10 @@ class TestExperiment:
         ("t_grid", [float("nan"), True]), ("t_grid", [float("inf")]),
         ("t_grid", [float("-inf")]), ("t_grid", [0.01, True]), ("t_grid", ["nan"]),
         ("k_rule", float("nan")), ("seed", float("-inf")), ("moments_kmax", float("nan")),
+        # a number written as a JSON string is not a number, and a rule is a string
+        ("n_grid", ["4", "8", "16"]), ("replicates", "8"), ("seed", "7"), ("t_grid", ["0.05"]),
+        ("k_rule", 3), ("k_rule", True), ("k_rule", ["half"]),
+        ("moments_kmax", -1), ("moments_kmax", 0), ("t_grid", [10**400]),
     ])
     def test_plan_error_names_its_key(self, tmp_path, capsys, key, value):
         plan = write_plan(tmp_path / "plan.json", **{key: value})
@@ -483,6 +487,23 @@ class TestVerify:
         assert code == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--trials", "--workers"])
+def test_count_flag_below_one_exits_2_before_any_work(tmp_path, capsys, monkeypatch, flag, value):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", forbidden)
+    outdir = tmp_path / "run"
+    argv = {"--trials": ["verify", "--suite", "all"],
+            "--workers": ["experiment", "--plan", str(write_plan(tmp_path / "plan.json")),
+                          "--out", str(outdir)]}[flag]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+    assert not outdir.exists()
+
+
 # Plans for the no-traceback property: a small well-formed plan of any kind
 # (n <= 8, replicates <= 3), with at most one field replaced by a malformed
 # value.  No junk string holds a digit, so none converts to a large size.
@@ -553,7 +574,9 @@ class TestNoTraceback:
             assert exit_code(argv) in (0, 1, 2)
 
     @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"[1, 2]", b"\n",
-                                         b"replicate\n0\n"])
+                                         b"replicate\n0\n",
+                                         pytest.param(b"[1" + b"0" * 5000 + b"]",
+                                                      id="integer-of-5001-digits")])
     def test_file_not_utf8_or_not_the_expected_format(self, tmp_path, capsys, payload):
         for name in ("input", "manifest.json"):
             (tmp_path / name).write_bytes(payload)

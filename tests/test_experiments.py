@@ -1,3 +1,8 @@
+import json
+import os
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from speclab.measures import pool
 from speclab.rng import StreamKey
 
 SEED = 1234
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestPlan:
@@ -36,7 +42,7 @@ class TestPlan:
         assert plan.k_of(8) == 3
 
     def test_invalid_k_rule(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^/k_rule:"):
             ExperimentPlan(EnsembleTag.COMPRESSION, (8,), 4, SEED, k_rule="thirds")
 
     def test_null_k_rule_defaults_to_half(self):
@@ -44,21 +50,47 @@ class TestPlan:
         assert plan.k_of(8) == 4
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^/n_grid:"):
             ExperimentPlan(EnsembleTag.UNITARY, (), 4, SEED)
 
     @pytest.mark.parametrize("k_max", [8, 9])
     def test_moment_order_must_stay_below_smallest_n(self, k_max):
-        with pytest.raises(ContractError, match="moments_kmax"):
+        with pytest.raises(ContractError, match="^/moments_kmax:"):
             ExperimentPlan(EnsembleTag.UNITARY, (8, 16), 4, SEED, moments_kmax=k_max)
 
     def test_moments_rejected_for_line_ensembles(self):
-        with pytest.raises(ContractError, match="circle ensembles"):
+        with pytest.raises(ContractError, match="^/moments_kmax: .*circle ensembles"):
             ExperimentPlan(EnsembleTag.GUE_WIGNER, (8, 16), 4, SEED, moments_kmax=2)
 
     def test_moment_order_below_smallest_n_accepted(self):
         plan = ExperimentPlan(EnsembleTag.UNITARY, (8, 16), 4, SEED, moments_kmax=7)
         assert plan.moments_kmax == 7
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"n_grid": (4.7, 8.2, 16)}, "/n_grid: expected an integer, got 4.7"),
+        ({"replicates": "3"}, '/replicates: expected an integer, got "3"'),
+        ({"t_grid": (float("nan"),)}, "/t_grid: expected a finite number, got NaN"),
+        ({"n_grid": (8, 4)}, "/n_grid: must be nonempty and strictly ascending"),
+        ({"n_grid": (0, 4)}, "/n_grid: dimensions must be positive"),
+        ({"replicates": 1}, "/replicates: need at least 2, got 1"),
+        ({"seed": True}, "/seed: expected an integer, got true"),
+    ])
+    def test_library_refuses_what_the_cli_refuses(self, overrides, message):
+        # the CLI builds every plan through this constructor, so both refuse alike
+        fields = {"ensemble": "unitary", "n_grid": (4, 8), "replicates": 3, "seed": SEED}
+        with pytest.raises(ContractError, match="^" + re.escape(message)):
+            ExperimentPlan(**(fields | overrides))
+
+    def test_readme_and_shipped_plans_match_the_schema(self):
+        # read-only: the worked example in the README and the plans the repo ships
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        block = re.search(r"Plan schema.*?```json\n(.*?)```", readme, re.S)
+        ExperimentPlan.from_json(json.loads(block.group(1)))
+        for path in ("plans/unitary_rate.json", "perfbench/plans/randomized_sum_rate.json"):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                raw = json.load(fh)
+            assert json.loads(json.dumps(asdict(ExperimentPlan.from_json(raw)))) == raw
 
 
 class TestFitLoglog:
