@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .ensembles import CIRCLE_TAGS, HALF_DIMENSION_TAGS, EnsembleTag, sample_circle_ensemble, gue_wigner
+from .ensembles import ENSEMBLES, EnsembleTag
 from .errors import SpeclabError, ContractError
 from .matlin import eig_hermitian, eig_unitary_angles
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
@@ -89,35 +89,24 @@ def _write_json(path: str, obj) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _ambient_dim(tag: EnsembleTag, n: int) -> int:
-    """CLI-facing n is the half-dimension for Sp and CSE."""
-    return 2 * n if tag in HALF_DIMENSION_TAGS else n
-
-
 # ---------------------------------------------------------------------------
 # sample
 
 
 def cmd_sample(args) -> int:
     tag = EnsembleTag(args.ensemble)
-    n = _ambient_dim(tag, args.n)
+    row = ENSEMBLES[tag]  # argparse choices leave only rows with a sampler
+    n = 2 * args.n if row.half_dimension else args.n  # ambient dimension
+    eig, colname = ((eig_unitary_angles, "angle") if row.domain == "circle"
+                    else (eig_hermitian, "eigenvalue"))
     started = _utcnow()
-    rows = []
-    for r in range(args.count):
-        key = StreamKey(args.seed, tag.value, n, r)
-        if tag in CIRCLE_TAGS:
-            u = sample_circle_ensemble(tag, n, key)
-            spec = eig_unitary_angles(u).atoms
-            colname = "angle"
-        else:  # argparse choices leave only gue_wigner
-            spec = eig_hermitian(gue_wigner(n, key)).atoms
-            colname = "eigenvalue"
-        rows.append((r, spec))
+    spectra = [eig(row.sample(args.n, StreamKey(args.seed, tag.value, n, r))).atoms
+               for r in range(args.count)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["replicate"] + [f"{colname}_{i}" for i in range(n)])
-    for r, spec in rows:
+    for r, spec in enumerate(spectra):
         writer.writerow([r] + [_fmt(v) for v in spec])
     payload = buf.getvalue()
     try:
@@ -132,10 +121,10 @@ def cmd_sample(args) -> int:
         "ensemble": tag.value,
         "ambient_dim": n,
         "count": args.count,
-        "domain": "circle" if tag in CIRCLE_TAGS else "line",
+        "domain": row.domain,
         "started_utc": started,
         "finished_utc": _utcnow(),
-        "record_count": len(rows),
+        "record_count": len(spectra),
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }
     _write_json(args.out + ".manifest.json", manifest)
@@ -245,7 +234,7 @@ def records_to_csv(records) -> str:
 
 
 def cmd_experiment(args) -> int:
-    from .experiments import RATE_SLOPE_MAX, concentration_tails, run_rate_experiment
+    from .experiments import concentration_tails, run_rate_experiment
 
     try:
         plan = load_plan(args.plan, seed_override=args.seed)
@@ -273,7 +262,7 @@ def cmd_experiment(args) -> int:
     if plan.t_grid:
         conc = concentration_tails(rate, plan.t_grid)
         summary["concentration"] = {
-            "std_by_n": [{"n": n, "std": s} for n, s in conc.std_by_n],
+            "std_by_n": [{"n": s.n, "std": s.std} for s in rate.summaries],
             "std_fit": None if conc.std_fit is None else asdict(conc.std_fit),
             "tails": [asdict(t) for t in conc.tails],
         }
@@ -312,7 +301,7 @@ def cmd_experiment(args) -> int:
 
     print(f"ensemble={plan.ensemble.value} records={len(rate.records)}")
     if not plan.t_grid and rate.fit is not None:
-        fit, threshold = rate.fit, RATE_SLOPE_MAX[plan.ensemble]
+        fit, threshold = rate.fit, ENSEMBLES[plan.ensemble].rate_slope_max
         verdict = "PASS" if fit.slope <= threshold else "FAIL"
         print(f"rate fit: slope={fit.slope:.4f} stderr={fit.slope_stderr:.4f} "
               f"r2={fit.r_squared:.4f} [{verdict} slope <= {threshold}]")
@@ -369,17 +358,17 @@ def _verify_transport_oracle(trials: int, seed: int) -> int:
 
 def _verify_group_membership(trials: int, seed: int) -> int:
     from .matlin import hs_norm, det_lu
-    from .ensembles import symplectic_form
+    from .ensembles import sample_circle_ensemble, symplectic_form
 
     bad = 0
     dims = [2, 3, 8, 17, 64]
     per_dim = max(1, trials // len(dims))
     for n in dims:
         for r in range(per_dim):
-            for tag in (EnsembleTag.UNITARY, EnsembleTag.SU, EnsembleTag.SO,
-                        EnsembleTag.SO_MINUS, EnsembleTag.ORTHOGONAL,
-                        EnsembleTag.COE, EnsembleTag.SYMPLECTIC, EnsembleTag.CSE):
-                amb = n + 1 if (tag in HALF_DIMENSION_TAGS and n % 2) else n
+            for tag, row in ENSEMBLES.items():
+                if row.domain != "circle":
+                    continue
+                amb = n + 1 if (row.half_dimension and n % 2) else n
                 key = StreamKey(seed, f"verify/{tag.value}", amb, r)
                 try:
                     u = sample_circle_ensemble(tag, amb, key)
@@ -442,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample spectra from an ensemble to CSV")
     p.add_argument("--ensemble", required=True,
-                   choices=[t.value for t in EnsembleTag
-                            if t not in (EnsembleTag.COMPRESSION, EnsembleTag.RANDOMIZED_SUM)])
+                   choices=[t.value for t, row in ENSEMBLES.items() if row.sampler])
     p.add_argument("--n", type=int, required=True,
                    help="dimension (half-dimension for symplectic and cse)")
     p.add_argument("--count", type=int, default=1)

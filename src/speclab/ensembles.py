@@ -10,6 +10,7 @@ reproduces the matrix bit-for-bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,22 +36,27 @@ class EnsembleTag(str, Enum):
     RANDOMIZED_SUM = "randomized_sum"
 
 
-#: tags whose natural parameter is the half-dimension (ambient size 2n)
-HALF_DIMENSION_TAGS = frozenset({EnsembleTag.SYMPLECTIC, EnsembleTag.CSE})
+@dataclass(frozen=True)
+class Ensemble:
+    """What the code knows about one ensemble: a row of ``ENSEMBLES``."""
 
-#: tags whose samples live on the unit circle
-CIRCLE_TAGS = frozenset(
-    {
-        EnsembleTag.ORTHOGONAL,
-        EnsembleTag.SO,
-        EnsembleTag.SO_MINUS,
-        EnsembleTag.UNITARY,
-        EnsembleTag.SU,
-        EnsembleTag.SYMPLECTIC,
-        EnsembleTag.COE,
-        EnsembleTag.CSE,
-    }
-)
+    domain: str  # "circle" (eigenangles) or "line" (real eigenvalues)
+    #: name of the function in this module that draws one sample; None for
+    #: the models built from several factors, which ``sample`` does not offer
+    sampler: str | None = None
+    half_dimension: bool = False  # n counts half the ambient dimension (Sp, CSE)
+    #: slope a rate fit must reach for a PASS: the theorem rate is n^{-2/3},
+    #: except for compressions, whose rate in kn is (kn)^{-1/3}
+    rate_slope_max: float = -0.6
+    kn_abscissa: bool = False  # the model has a rank k, and its rate abscissa is k*n
+
+    def sample(self, n: int, key: StreamKey):
+        """One draw at the natural parameter n (the half-dimension for Sp and
+        CSE).  The sampler is looked up by name at call time, so rebinding
+        the module attribute (a tracing wrapper, a test's patch) takes effect."""
+        if self.sampler is None:
+            raise ContractError("this ensemble has no single-matrix sampler")
+        return globals()[self.sampler](n, key)
 
 
 def symplectic_form(half_n: int) -> np.ndarray:
@@ -224,30 +230,35 @@ def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> Hermit
     return HermitianView(m)
 
 
+ENSEMBLES = {
+    EnsembleTag.ORTHOGONAL: Ensemble("circle", "haar_orthogonal"),
+    EnsembleTag.SO: Ensemble("circle", "haar_so"),
+    EnsembleTag.SO_MINUS: Ensemble("circle", "haar_so_minus"),
+    EnsembleTag.UNITARY: Ensemble("circle", "haar_unitary"),
+    EnsembleTag.SU: Ensemble("circle", "haar_su"),
+    EnsembleTag.SYMPLECTIC: Ensemble("circle", "haar_symplectic", half_dimension=True),
+    EnsembleTag.COE: Ensemble("circle", "sample_coe"),
+    EnsembleTag.CSE: Ensemble("circle", "sample_cse", half_dimension=True),
+    EnsembleTag.GUE_WIGNER: Ensemble("line", "gue_wigner"),
+    EnsembleTag.COMPRESSION: Ensemble("line", rate_slope_max=-0.25, kn_abscissa=True),
+    EnsembleTag.RANDOMIZED_SUM: Ensemble("line"),
+}
+
+
 def sample_circle_ensemble(tag: EnsembleTag, n: int, key: StreamKey) -> UnitaryView:
     """Sample one unitary-type ensemble member of ambient dimension n.
 
     For SYMPLECTIC and CSE, n is the ambient (even) dimension.
     """
     tag = EnsembleTag(tag)
-    if tag not in CIRCLE_TAGS:
+    row = ENSEMBLES[tag]
+    if row.domain != "circle":
         raise ContractError(f"{tag.value} is not a circle ensemble")
-    if tag in HALF_DIMENSION_TAGS:
+    if row.half_dimension:
         if n % 2 != 0:
             raise ContractError(f"{tag.value} requires even ambient dimension, got {n}")
-        half = n // 2
-        if tag is EnsembleTag.SYMPLECTIC:
-            return haar_symplectic(half, key)
-        return sample_cse(half, key)
-    sampler = {
-        EnsembleTag.ORTHOGONAL: haar_orthogonal,
-        EnsembleTag.SO: haar_so,
-        EnsembleTag.SO_MINUS: haar_so_minus,
-        EnsembleTag.UNITARY: haar_unitary,
-        EnsembleTag.SU: haar_su,
-        EnsembleTag.COE: sample_coe,
-    }[tag]
-    return sampler(n, key)
+        n //= 2
+    return row.sample(n, key)
 
 
 def sample_compression(n: int, k: int, key: StreamKey) -> HermitianView:
@@ -263,8 +274,3 @@ def randomized_sum_factors(n: int, key: StreamKey):
     b = gue_wigner(n, subkey(key, "b"))
     u = haar_unitary(n, subkey(key, "u"))
     return a, b, u
-
-
-def sample_randomized_sum(n: int, key: StreamKey) -> HermitianView:
-    """Randomized sum of two independent GUE Wigner matrices."""
-    return randomized_sum(*randomized_sum_factors(n, key))

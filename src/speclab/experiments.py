@@ -20,8 +20,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .ensembles import (
-    CIRCLE_TAGS,
-    HALF_DIMENSION_TAGS,
+    ENSEMBLES,
     EnsembleTag,
     gue_wigner,
     haar_unitary,
@@ -35,10 +34,6 @@ from .matlin import eig_hermitian, eig_unitary_angles, hs_norm, spectral_diamete
 from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
-
-#: slope a rate fit must reach for a PASS: the theorem rate is n^{-2/3},
-#: except for compressions, whose rate in kn is (kn)^{-1/3}
-RATE_SLOPE_MAX = {tag: -0.6 for tag in EnsembleTag} | {EnsembleTag.COMPRESSION: -0.25}
 
 
 def _show(value) -> str:
@@ -131,19 +126,20 @@ class ExperimentPlan:
             object.__setattr__(self, name, value)
 
         # checks that span several keys
-        if tag in HALF_DIMENSION_TAGS and any(n % 2 for n in grid):
+        row = ENSEMBLES[tag]
+        if row.half_dimension and any(n % 2 for n in grid):
             raise ContractError(f"/n_grid: {tag.value} requires even ambient "
                                 f"dimensions, got {list(grid)}")
-        if kmax is not None and tag not in CIRCLE_TAGS:
+        if kmax is not None and row.domain != "circle":
             raise ContractError("/moments_kmax: applies to circle ensembles only")
         if kmax is not None and kmax >= grid[0]:
             raise ContractError(f"/moments_kmax: moment order must satisfy k < n, got "
                                 f"moments_kmax={kmax}, min(n_grid)={grid[0]}")
-        if k_rule is not None and tag is not EnsembleTag.COMPRESSION:
+        if k_rule is not None and not row.kn_abscissa:
             raise ContractError("/k_rule: applies to compression plans only")
         # the grid ascends, so a k that fits its first n fits every n
         n = grid[0]
-        if tag is EnsembleTag.COMPRESSION and not 1 <= self.k_of(n) <= n:
+        if row.kn_abscissa and not 1 <= self.k_of(n) <= n:
             raise ContractError(f"/k_rule: k must be in 1..{n}, got {self.k_of(n)} at n={n}")
 
     def k_of(self, n: int) -> int:
@@ -204,8 +200,6 @@ class RateExperimentResult:
 class ConcentrationResult:
     tails: tuple
     std_fit: RateFitResult | None
-    std_by_n: tuple  # (n, std) pairs
-    records: tuple
 
 
 @dataclass(frozen=True)
@@ -297,7 +291,7 @@ def _cell(task) -> dict:
     plan, n, r = task
     tag = plan.ensemble
     key = StreamKey(plan.seed, tag.value, n, r)
-    if tag in CIRCLE_TAGS:
+    if ENSEMBLES[tag].domain == "circle":
         measure = eig_unitary_angles(sample_circle_ensemble(tag, n, key))
         out = {"d1": w1_circle_uniform(measure).value}
         if plan.moments_kmax:
@@ -368,7 +362,8 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
     through one ``_parallel_map`` call.
     """
     tag, m = plan.ensemble, plan.replicates
-    first = 0 if tag in CIRCLE_TAGS else m  # first measured replicate
+    row = ENSEMBLES[tag]
+    first = 0 if row.domain == "circle" else m  # first measured replicate
     reps = first + m
     cells = _parallel_map(_cell, [(plan, n, r) for n in plan.n_grid for r in range(reps)],
                           workers)
@@ -384,7 +379,7 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
             for stat in ("d1", "weyl_violation"):
                 if stat in block[r]:
                     records.append(SummaryRecord(tag.value, n, r, stat, block[r][stat], key))
-        x = plan.k_of(n) * n if tag is EnsembleTag.COMPRESSION else n
+        x = plan.k_of(n) * n if row.kn_abscissa else n
         summaries.append(_summarize(n, x, [c["d1"] for c in block[first:]]))
         if plan.moments_kmax:
             moments += _moment_estimates(tag, n, np.array([c["traces"] for c in block]))
@@ -412,7 +407,7 @@ def concentration_tails(rate: RateExperimentResult, t_grid) -> ConcentrationResu
                                       replicates=vals.size, wilson_low=lo, wilson_high=hi))
     stds = [(s.n, s.std) for s in rate.summaries]
     std_fit = fit_loglog(stds) if len(stds) >= 3 else None
-    return ConcentrationResult(tuple(tails), std_fit, tuple(stds), rate.records)
+    return ConcentrationResult(tuple(tails), std_fit)
 
 
 def run_concentration_experiment(plan: ExperimentPlan, t_grid=None, workers: int = 1) -> ConcentrationResult:
@@ -449,7 +444,7 @@ def run_identdist_experiment(n: int, replicates: int, seed: int,
     """
     plans = (ExperimentPlan(ensemble_a, (n,), replicates, seed),
              ExperimentPlan(ensemble_b, (n if n_b is None else n_b,), replicates, seed))
-    if not {ensemble_a, ensemble_b} <= CIRCLE_TAGS:
+    if any(ENSEMBLES[p.ensemble].domain != "circle" for p in plans):
         raise ContractError("the coupling check compares circle ensembles")
     cells = _parallel_map(_cell, [(p, p.n_grid[0], r) for p in plans for r in range(replicates)], 1)
     xs = np.array([c["d1"] for c in cells[:replicates]])

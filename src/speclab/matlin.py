@@ -47,6 +47,9 @@ class ComplexMatrix:
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
+    def __reduce__(self):  # unpickling re-runs the checks of the view's own type
+        return type(self), (self.entries,)
+
 
 class HermitianView(ComplexMatrix):
     """A ComplexMatrix certified Hermitian: ||A - A*|| <= 1e-12 ||A|| in HS norm."""
@@ -93,12 +96,6 @@ def eig_hermitian(a: HermitianView) -> EmpiricalMeasureLine:
         return EmpiricalMeasureLine(np.linalg.eigvalsh(a.entries))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailureError(f"Hermitian eigensolver failed: {exc}") from exc
-
-
-def op_norm(a: HermitianView) -> float:
-    """Operator norm max_i |lambda_i| of a Hermitian matrix."""
-    vals = eig_hermitian(a).atoms
-    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def spectral_diameter(a: HermitianView) -> float:

@@ -33,6 +33,9 @@ class EmpiricalMeasureCircle:
     def __len__(self):
         return self.atoms.size
 
+    def __reduce__(self):  # unpickled atoms are revalidated and read-only
+        return type(self), (self.atoms,)
+
 
 class EmpiricalMeasureLine:
     """Uniform measure on n real atoms."""

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,9 @@ class StreamKey:
 
     def generator(self) -> Generator:
         """Fresh generator positioned at the start of this key's stream."""
+        # imported here: commands that draw nothing do not load numpy.random
+        from numpy.random import Generator, Philox
+
         return Generator(Philox(key=self.philox_key()))
 
 

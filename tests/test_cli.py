@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab import cli, experiments
+from speclab import cli, ensembles, experiments
 from speclab.cli import main
 from speclab.ensembles import EnsembleTag
 from speclab.experiments import ExperimentPlan, run_moment_experiment
@@ -72,7 +72,8 @@ class TestSample:
         def too_large(*args):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr(cli, "sample_circle_ensemble", too_large)
+        # the table finds its sampler by name at call time, so this patch reaches it
+        monkeypatch.setattr(ensembles, "haar_unitary", too_large)
         out = tmp_path / "x.csv"
         code, stdout, err = run_cli(capsys, "sample", "--ensemble", "unitary",
                                     "--n", "4", "--out", str(out))
@@ -604,6 +605,7 @@ IMPORT_GUARD = textwrap.dedent("""
         return {
             "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
             "experiment_stack": sorted(m for m in EXPERIMENT_STACK if m in sys.modules),
+            "numpy_random": "numpy.random" in sys.modules,
         }
 
     out = sys.argv[1]
@@ -671,3 +673,12 @@ def test_one_shot_commands_load_no_experiment_stack(modules_loaded_by_command):
              in modules_loaded_by_command.items()}
     assert "speclab.experiments" in stack.pop("experiment")
     assert stack == {"import": [], "sample": [], "distance": [], "manifest-check": []}
+
+
+def test_import_loads_no_numpy_random(modules_loaded_by_command):
+    # distance and manifest-check draw nothing: the generator classes are
+    # imported by the first StreamKey.generator call, which sample makes
+    loaded = {command: loaded["numpy_random"] for command, loaded
+              in modules_loaded_by_command.items()}
+    assert loaded["import"] is False
+    assert loaded["sample"] is True

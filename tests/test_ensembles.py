@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from speclab.ensembles import (
-    CIRCLE_TAGS,
+    ENSEMBLES,
     EnsembleTag,
     compress,
     ginibre_complex,
@@ -30,7 +30,6 @@ from speclab.matlin import (
     eig_hermitian,
     eig_unitary_angles,
     hs_norm,
-    op_norm,
 )
 from speclab.measures import EmpiricalMeasureCircle
 from speclab.rng import StreamKey, standard_complex_normal
@@ -38,10 +37,18 @@ from speclab.transport import w1_circle_uniform
 
 TWO_PI = 2 * np.pi
 SEED = 1234
+CIRCLE_TAGS = sorted((t for t, row in ENSEMBLES.items() if row.domain == "circle"),
+                     key=lambda t: t.value)
 
 
 def key(ens, n, r=0, seed=SEED):
     return StreamKey(seed, ens, n, r)
+
+
+def op_norm(a):
+    """Operator norm max |lambda| of a Hermitian matrix, from its ascending spectrum."""
+    vals = eig_hermitian(a).atoms
+    return max(abs(vals[0]), abs(vals[-1]))
 
 
 class TestGinibre:
@@ -324,8 +331,22 @@ class TestGroupMembership:
         assert ks > 0.01
 
 
+class TestEnsembleTable:
+    def test_one_row_per_tag_in_tag_order(self):
+        # the sample --ensemble choices follow the table's order
+        assert list(ENSEMBLES) == list(EnsembleTag)
+
+    @pytest.mark.parametrize("tag,n,message", [
+        ("gue_wigner", 4, "gue_wigner is not a circle ensemble"),
+        ("symplectic", 5, "symplectic requires even ambient dimension, got 5"),
+    ])
+    def test_circle_sampler_refuses(self, tag, n, message):
+        with pytest.raises(ContractError, match=message):
+            sample_circle_ensemble(tag, n, key(tag, n))
+
+
 class TestDeterminismAcrossSamplers:
-    @pytest.mark.parametrize("tag", sorted(CIRCLE_TAGS, key=lambda t: t.value))
+    @pytest.mark.parametrize("tag", CIRCLE_TAGS)
     def test_replay(self, tag):
         n = 8
         k = key(tag.value, n, 3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import experiments
-from speclab.ensembles import EnsembleTag, sample_randomized_sum
+from speclab.ensembles import ENSEMBLES, EnsembleTag, randomized_sum, randomized_sum_factors
 from speclab.errors import ContractError
 from speclab.experiments import (
     ExperimentPlan,
@@ -245,8 +245,8 @@ class TestRateExperiment:
         # check; its d1 must be that of the standalone sampler's spectrum
         tag, n, m = EnsembleTag.RANDOMIZED_SUM, 8, 3
         res = run_rate_experiment(ExperimentPlan(tag, (n,), m, SEED))
-        spectra = [eig_hermitian(sample_randomized_sum(n, StreamKey(SEED, tag.value, n, r)))
-                   for r in range(2 * m)]
+        spectra = [eig_hermitian(randomized_sum(*randomized_sum_factors(
+            n, StreamKey(SEED, tag.value, n, r)))) for r in range(2 * m)]
         pooled = pool(spectra[:m])
         d1 = [rec.value for rec in res.records if rec.statistic == "d1"]
         assert d1 == [_d1_to_pooled(s, pooled) for s in spectra[m:]]
@@ -280,9 +280,9 @@ class TestConcentration:
         assert res.std_fit.slope < -0.5
 
     def test_std_decreases(self):
+        # the per-n stds a concentration summary reports are the rate run's
         plan = ExperimentPlan(EnsembleTag.UNITARY, (8, 64), 40, SEED, t_grid=(0.0,))
-        res = run_concentration_experiment(plan)
-        stds = dict(res.std_by_n)
+        stds = {s.n: s.std for s in run_rate_experiment(plan).summaries}
         assert stds[64] < stds[8]
 
 
@@ -299,6 +299,21 @@ class TestMoments:
         assert ests[0].zero_consistent and ests[2].zero_consistent
         assert ests[1].bounded_consistent and ests[3].bounded_consistent
         assert abs(ests[1].mean_re - 1.0) < 0.2
+
+    @pytest.mark.parametrize("tag,n", [(t.value, 8) for t, row in ENSEMBLES.items()
+                                        if row.domain == "circle"]
+                             + [(t, 9) for t in ("orthogonal", "so", "so_minus")])
+    def test_trace_means_are_exact(self, tag, n):
+        # E tr U^k for k < n (Diaconis and Shahshahani 1994): 0 for U, SU, COE
+        # and CSE; 1 at even k and 0 at odd k for O, SO and SO-; -1 at even k
+        # and 0 at odd k for Sp.  A miswired sampler misses these by far more
+        # than the 4 stderr allowed (U(8) read as SO(8): about 17 stderr).
+        even = {"orthogonal": 1.0, "so": 1.0, "so_minus": 1.0, "symplectic": -1.0}
+        ests = run_moment_experiment(ExperimentPlan(tag, (n,), 600, SEED), n - 1)
+        assert [e.k for e in ests] == list(range(1, n))
+        for e in ests:
+            exact = even.get(tag, 0.0) if e.k % 2 == 0 else 0.0
+            assert abs(complex(e.mean_re, e.mean_im) - exact) <= 4 * e.stderr, e
 
     def test_k_must_stay_below_n(self):
         plan = ExperimentPlan(EnsembleTag.UNITARY, (4,), 10, SEED)

@@ -43,10 +43,12 @@ class TestEsd:
         assert m.atoms[0] >= -2.5 and m.atoms[-1] <= 2.5
 
 
-def test_line_measure_unpickles_read_only():
+@pytest.mark.parametrize("cls", [EmpiricalMeasureLine, EmpiricalMeasureCircle])
+def test_measure_unpickles_read_only(cls):
     # line spectra come back from worker processes by pickle
-    m = pickle.loads(pickle.dumps(EmpiricalMeasureLine([2.0, -1.0])))
-    assert m.atoms.tolist() == [-1.0, 2.0]
+    m = pickle.loads(pickle.dumps(cls([2.0, 1.0])))
+    assert type(m) is cls
+    assert m.atoms.tolist() == [1.0, 2.0]
     assert not m.atoms.flags.writeable
 
 

@@ -18,6 +18,10 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import layers, tracer
 
 recorder = tracer.install(alloc=False)
+import speclab.ensembles
+from speclab.rng import StreamKey
+for tag in ("symplectic", "unitary"):
+    speclab.ensembles.sample_circle_ensemble(tag, 4, StreamKey(1, tag, 4))
 source = inspect.getsource(layers.per_layer)
 read = {
     "layers.CHECKS": list(layers.CHECKS),
@@ -33,6 +37,7 @@ print(json.dumps({
     "layers": [layer for _, layer in recorder.names],
     "read": read,
     "layers_read": re.findall(r'\bt\.layer_(?:calls|self_s)\["([^"]+)"\]', source),
+    "spans": sorted({recorder.names[span[1]][0] for span in recorder.spans}),
 }))
 """
 
@@ -51,3 +56,7 @@ def test_every_name_the_metrics_read_is_traced():
     assert not missing, f"names read but never traced: {missing}"
     assert out["layers_read"]
     assert set(out["layers_read"]) <= set(out["layers"])
+    # samplers reached through the ensemble table are traced too, so their
+    # draws count in ensembles.draws and Sp(n)'s time in ensembles.symplectic_s
+    assert {"ensembles.haar_symplectic", "ensembles.haar_unitary",
+            "ensembles.ginibre_complex"} <= set(out["spans"])
