@@ -33,8 +33,9 @@ from .matlin import eig_hermitian, eig_unitary_angles
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from .rng import StreamKey
 from .transport import (
-    GroundMetric,
     assignment_oracle,
+    geodesic_distance,
+    line_distance,
     semicircle_cdf,
     w1_circle_pair,
     w1_circle_uniform,
@@ -109,12 +110,6 @@ def cmd_sample(args) -> int:
     for r, spec in enumerate(spectra):
         writer.writerow([r] + [_fmt(v) for v in spec])
     payload = buf.getvalue()
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     manifest = {
         "tool_version": __version__,
         "master_seed": args.seed,
@@ -127,7 +122,12 @@ def cmd_sample(args) -> int:
         "record_count": len(spectra),
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }
-    _write_json(args.out + ".manifest.json", manifest)
+    try:
+        _write_whole(args.out, payload)
+        _write_json(args.out + ".manifest.json", manifest)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -172,32 +172,33 @@ def cmd_distance(args) -> int:
         if args.reference == "uniform-circle":
             if domain != "circle":
                 raise ContractError("uniform-circle reference needs angle spectra")
-            result = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
+            value = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
         elif args.reference == "semicircle":
             if domain != "line":
                 raise ContractError("semicircle reference needs line spectra")
-            result = w1_line_vs_cdf(EmpiricalMeasureLine(atoms), semicircle_cdf,
-                                    support=(-2.0, 2.0))
+            value = w1_line_vs_cdf(EmpiricalMeasureLine(atoms), semicircle_cdf,
+                                   support=(-2.0, 2.0))
         else:
             ref_domain, ref_atoms = _read_spectrum_csv(args.reference)
             if ref_domain != domain:
                 raise ContractError("input and reference spectra live on different domains")
             if domain == "circle":
-                result = w1_circle_pair(EmpiricalMeasureCircle(atoms),
-                                        EmpiricalMeasureCircle(ref_atoms))
+                value = w1_circle_pair(EmpiricalMeasureCircle(atoms),
+                                       EmpiricalMeasureCircle(ref_atoms))
             else:
-                result = wp_line(EmpiricalMeasureLine(atoms),
-                                 EmpiricalMeasureLine(ref_atoms), args.p)
+                value = wp_line(EmpiricalMeasureLine(atoms),
+                                EmpiricalMeasureLine(ref_atoms), args.p)
     except SpeclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    out = {
-        "value": result.value,
-        "p": result.p,
-        "metric": result.metric.value,
-        "algorithm": result.algorithm.value,
-    }
-    out.update(result.extras)
+    if domain == "circle":
+        # (2/pi) geo <= chord <= geo pointwise, so the geodesic W1 brackets the chordal one
+        out = {"metric": "circle_geodesic", "algorithm": "circle_cdf",
+               "chordal_lower": 2.0 / np.pi * value, "chordal_upper": value}
+    else:
+        out = {"metric": "line_euclidean",
+               "algorithm": "sorted_pairing" if pair else "cdf_integral"}
+    out.update(value=value, p=args.p)
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
@@ -258,6 +259,7 @@ def cmd_experiment(args) -> int:
         print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     summary: dict = {"plan": asdict(plan)}
+    threshold = ENSEMBLES[plan.ensemble].rate_slope_max
     rate = run_rate_experiment(plan, workers=args.workers)
     if plan.t_grid:
         conc = concentration_tails(rate, plan.t_grid)
@@ -274,7 +276,7 @@ def cmd_experiment(args) -> int:
                 for s in rate.summaries
             ],
             "fit": None if rate.fit is None else asdict(rate.fit),
-            "slope_flag_leq_-0.6": bool(rate.fit and rate.fit.slope <= -0.6),
+            f"slope_flag_leq_{threshold}": bool(rate.fit and rate.fit.slope <= threshold),
             "warnings": list(rate.warnings),
         }
     if plan.moments_kmax:
@@ -301,7 +303,7 @@ def cmd_experiment(args) -> int:
 
     print(f"ensemble={plan.ensemble.value} records={len(rate.records)}")
     if not plan.t_grid and rate.fit is not None:
-        fit, threshold = rate.fit, ENSEMBLES[plan.ensemble].rate_slope_max
+        fit = rate.fit
         verdict = "PASS" if fit.slope <= threshold else "FAIL"
         print(f"rate fit: slope={fit.slope:.4f} stderr={fit.slope_stderr:.4f} "
               f"r2={fit.r_squared:.4f} [{verdict} slope <= {threshold}]")
@@ -342,15 +344,15 @@ def _verify_transport_oracle(trials: int, seed: int) -> int:
         a1 = rng.uniform(0, 2 * np.pi, n)
         a2 = rng.uniform(0, 2 * np.pi, n)
         m1, m2 = EmpiricalMeasureCircle(a1), EmpiricalMeasureCircle(a2)
-        v_cdf = w1_circle_pair(m1, m2).value
-        v_orc = assignment_oracle(m1, m2, GroundMetric.CIRCLE_GEODESIC, 1.0).value
+        v_cdf = w1_circle_pair(m1, m2)
+        v_orc = assignment_oracle(m1, m2, geodesic_distance, 1.0)
         if abs(v_cdf - v_orc) > 1e-9:
             bad += 1
         x1, x2 = rng.normal(size=n), rng.normal(size=n)
         l1, l2 = EmpiricalMeasureLine(x1), EmpiricalMeasureLine(x2)
         p = float(rng.uniform(1.0, 2.0))
-        w_srt = wp_line(l1, l2, p).value
-        w_orc = assignment_oracle(l1, l2, GroundMetric.LINE_EUCLIDEAN, p).value
+        w_srt = wp_line(l1, l2, p)
+        w_orc = assignment_oracle(l1, l2, line_distance, p)
         if abs(w_srt - w_orc) > 1e-9:
             bad += 1
     return bad

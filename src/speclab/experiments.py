@@ -267,7 +267,7 @@ def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled: EmpiricalMeasureLine) ->
     m = len(pooled) // len(sample)
     if m * len(sample) != len(pooled):
         raise ContractError("pooled atom count must be a multiple of the sample's")
-    return wp_line(EmpiricalMeasureLine(np.repeat(sample.atoms, m)), pooled, 1.0).value
+    return wp_line(EmpiricalMeasureLine(np.repeat(sample.atoms, m)), pooled, 1.0)
 
 
 def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray) -> float:
@@ -293,7 +293,7 @@ def _cell(task) -> dict:
     key = StreamKey(plan.seed, tag.value, n, r)
     if ENSEMBLES[tag].domain == "circle":
         measure = eig_unitary_angles(sample_circle_ensemble(tag, n, key))
-        out = {"d1": w1_circle_uniform(measure).value}
+        out = {"d1": w1_circle_uniform(measure)}
         if plan.moments_kmax:
             out["traces"] = [np.sum(np.exp(1j * k * measure.atoms))
                              for k in range(1, plan.moments_kmax + 1)]
@@ -487,7 +487,7 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
 
         ma, mb = eig_hermitian(a), eig_hermitian(b)
         ea, eb = ma.atoms, mb.atoms
-        d2 = wp_line(ma, mb, 2.0).value
+        d2 = wp_line(ma, mb, 2.0)
         if d2 > hs_norm(a.entries - b.entries) / math.sqrt(n) + slack:
             hw += 1
 

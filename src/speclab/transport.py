@@ -4,18 +4,16 @@ Three exact routes are implemented and cross-checked against each other:
 sorted pairing on the line, the circular-CDF formula on the circle, and a
 brute-force minimal-assignment oracle for small instances.
 
-The circle's canonical ground metric here is the geodesic (arc-length)
-metric, for which the CDF formula is exact.  The chordal metric |e^{it} -
-e^{is}| is sandwiched pointwise by (2/pi) geo <= chord <= geo, so every
-geodesic value carries a chordal bracket in its metadata; exact chordal
-values are available for small n through the assignment oracle.
+Each route returns its distance as a Python float.  The circle's canonical
+ground metric here is the geodesic (arc-length) metric, for which the CDF
+formula is exact.  The chordal metric |e^{it} - e^{is}| is sandwiched
+pointwise by (2/pi) geo <= chord <= geo; exact chordal values are available
+for small n through the assignment oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -23,34 +21,12 @@ from .errors import ContractError, SizeGuardError
 from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine
 
 ORACLE_MAX_ATOMS = 12
+CDF_QUAD_TOL = 1e-10  # absolute tolerance of each quadrature in w1_line_vs_cdf
 
 
-class GroundMetric(Enum):
-    LINE_EUCLIDEAN = "line_euclidean"
-    CIRCLE_GEODESIC = "circle_geodesic"
-    CIRCLE_CHORDAL = "circle_chordal"
-
-
-class Algorithm(Enum):
-    SORTED_PAIRING = "sorted_pairing"
-    CIRCLE_CDF = "circle_cdf"
-    CDF_INTEGRAL = "cdf_integral"
-    ASSIGNMENT_ORACLE = "assignment_oracle"
-
-
-@dataclass(frozen=True)
-class DistanceResult:
-    value: float
-    p: float
-    metric: GroundMetric
-    algorithm: Algorithm
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ContractError("distance cannot be negative")
-        if not 1.0 <= self.p <= 2.0:
-            raise ContractError("p must lie in [1, 2]")
+def line_distance(x, y):
+    """|x - y| on the real line."""
+    return np.abs(x - y)
 
 
 def geodesic_distance(theta, phi):
@@ -64,7 +40,7 @@ def chordal_distance(theta, phi):
     return 2.0 * np.sin(geodesic_distance(theta, phi) / 2.0)
 
 
-def wp_line(m1: EmpiricalMeasureLine, m2: EmpiricalMeasureLine, p: float = 1.0) -> DistanceResult:
+def wp_line(m1: EmpiricalMeasureLine, m2: EmpiricalMeasureLine, p: float = 1.0) -> float:
     """d_p between equal-size empirical line measures via the monotone
     (sorted) coupling, which is exact in one dimension for p >= 1."""
     if len(m1) != len(m2):
@@ -74,8 +50,7 @@ def wp_line(m1: EmpiricalMeasureLine, m2: EmpiricalMeasureLine, p: float = 1.0) 
     if not 1.0 <= p <= 2.0:
         raise ContractError("p must lie in [1, 2]")
     diffs = np.abs(m1.atoms - m2.atoms)
-    value = float(np.mean(diffs**p) ** (1.0 / p))
-    return DistanceResult(value, p, GroundMetric.LINE_EUCLIDEAN, Algorithm.SORTED_PAIRING)
+    return float(np.mean(diffs**p) ** (1.0 / p))
 
 
 def _value_median(los: np.ndarray, his: np.ndarray, masses: np.ndarray) -> float:
@@ -140,7 +115,7 @@ def _circle_cdf_segments(atoms: np.ndarray):
     return lengths, g_left, g_right
 
 
-def w1_circle_uniform(m: EmpiricalMeasureCircle) -> DistanceResult:
+def w1_circle_uniform(m: EmpiricalMeasureCircle) -> float:
     """Exact geodesic W1 to the uniform circle measure.
 
     Uses min over c of the integral of |F_m(t) - t/(2*pi) - c| dt, where c
@@ -156,17 +131,10 @@ def w1_circle_uniform(m: EmpiricalMeasureCircle) -> DistanceResult:
         return x * np.abs(x) / 2.0
 
     # integral over a segment: since |dG/dt| = 1/(2*pi), dt = 2*pi dv
-    value = float(np.sum(TWO_PI * (h(his - c) - h(los - c))))
-    return DistanceResult(
-        value,
-        1.0,
-        GroundMetric.CIRCLE_GEODESIC,
-        Algorithm.CIRCLE_CDF,
-        extras={"chordal_lower": 2.0 / np.pi * value, "chordal_upper": value},
-    )
+    return float(np.sum(TWO_PI * (h(his - c) - h(los - c))))
 
 
-def w1_circle_pair(m1: EmpiricalMeasureCircle, m2: EmpiricalMeasureCircle) -> DistanceResult:
+def w1_circle_pair(m1: EmpiricalMeasureCircle, m2: EmpiricalMeasureCircle) -> float:
     """Exact geodesic W1 between two empirical circle measures via the
     circular-CDF formula; the integrand is piecewise constant."""
     cuts = np.unique(np.concatenate([[0.0], m1.atoms, m2.atoms, [TWO_PI]]))
@@ -177,19 +145,10 @@ def w1_circle_pair(m1: EmpiricalMeasureCircle, m2: EmpiricalMeasureCircle) -> Di
     g = f1 - f2
     # any Lebesgue median of g minimizes the integral of |g - c|
     c = _value_median(g, g, lengths)
-    value = float(np.sum(lengths * np.abs(g - c)))
-    return DistanceResult(
-        value,
-        1.0,
-        GroundMetric.CIRCLE_GEODESIC,
-        Algorithm.CIRCLE_CDF,
-        extras={"chordal_lower": 2.0 / np.pi * value, "chordal_upper": value},
-    )
+    return float(np.sum(lengths * np.abs(g - c)))
 
 
-def w1_line_vs_cdf(
-    m: EmpiricalMeasureLine, ref_cdf, support=(-np.inf, np.inf), tol: float = 1e-10
-) -> DistanceResult:
+def w1_line_vs_cdf(m: EmpiricalMeasureLine, ref_cdf, support=(-np.inf, np.inf)) -> float:
     """W1 between an empirical line measure and a continuous reference CDF,
     via the identity W1 = integral of |F_m - F_ref|.
 
@@ -205,7 +164,7 @@ def w1_line_vs_cdf(
     total = 0.0
     # left tail: F_m = 0
     if lo < atoms[0]:
-        val, _ = integrate.quad(ref_cdf, lo, atoms[0], limit=200, epsabs=tol)
+        val, _ = integrate.quad(ref_cdf, lo, atoms[0], limit=200, epsabs=CDF_QUAD_TOL)
         total += val
     # interior segments: F_m = k/n is constant
     for k in range(1, n):
@@ -213,24 +172,26 @@ def w1_line_vs_cdf(
         if b > a:
             level = k / n
             val, _ = integrate.quad(
-                lambda x: abs(level - ref_cdf(x)), a, b, limit=200, epsabs=tol
+                lambda x: abs(level - ref_cdf(x)), a, b, limit=200, epsabs=CDF_QUAD_TOL
             )
             total += val
     # right tail: F_m = 1
     if hi > atoms[-1]:
         val, _ = integrate.quad(
-            lambda x: abs(1.0 - ref_cdf(x)), atoms[-1], hi, limit=200, epsabs=tol
+            lambda x: abs(1.0 - ref_cdf(x)), atoms[-1], hi, limit=200, epsabs=CDF_QUAD_TOL
         )
         total += val
     if not np.isfinite(total):
         raise ContractError("reference CDF is not integrable against the measure")
-    return DistanceResult(float(total), 1.0, GroundMetric.LINE_EUCLIDEAN, Algorithm.CDF_INTEGRAL)
+    return float(total)
 
 
-def assignment_oracle(m1, m2, metric: GroundMetric, p: float = 1.0) -> DistanceResult:
+def assignment_oracle(m1, m2, ground, p: float = 1.0) -> float:
     """Exact d_p for equal-weight atoms as a minimal assignment (exact
-    Hungarian-type solver).  Deliberately limited to small n: this is the
-    validation oracle, not the production path."""
+    Hungarian-type solver) under the ground distance ``ground(x, y)``:
+    ``line_distance``, ``geodesic_distance`` or ``chordal_distance``.
+    Deliberately limited to small n: this is the validation oracle, not the
+    production path."""
     if len(m1) != len(m2):
         raise ContractError("assignment oracle needs equal atom counts")
     n = len(m1)
@@ -238,21 +199,11 @@ def assignment_oracle(m1, m2, metric: GroundMetric, p: float = 1.0) -> DistanceR
         raise SizeGuardError(f"oracle limited to n <= {ORACLE_MAX_ATOMS}, got {n}")
     if not 1.0 <= p <= 2.0:
         raise ContractError("p must lie in [1, 2]")
-    x = m1.atoms[:, None]
-    y = m2.atoms[None, :]
-    if metric is GroundMetric.LINE_EUCLIDEAN:
-        cost = np.abs(x - y)
-    elif metric is GroundMetric.CIRCLE_GEODESIC:
-        cost = geodesic_distance(x, y)
-    elif metric is GroundMetric.CIRCLE_CHORDAL:
-        cost = chordal_distance(x, y)
-    else:
-        raise ContractError(f"unknown metric {metric}")
+    cost = ground(m1.atoms[:, None], m2.atoms[None, :])
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost**p)
-    value = float((np.sum(cost[rows, cols] ** p) / n) ** (1.0 / p))
-    return DistanceResult(value, p, metric, Algorithm.ASSIGNMENT_ORACLE)
+    return float((np.sum(cost[rows, cols] ** p) / n) ** (1.0 / p))
 
 
 def semicircle_cdf(x: float) -> float:

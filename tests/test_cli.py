@@ -146,6 +146,48 @@ def write_line_csv(path, values):
         fh.write("0," + ",".join(f"{v:.17g}" for v in values) + "\n")
 
 
+def write_angle_csv(path, values):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("replicate," + ",".join(f"angle_{i}" for i in range(len(values))) + "\n")
+        fh.write("0," + ",".join(f"{v:.17g}" for v in values) + "\n")
+
+
+CIRCLE = {"metric": "circle_geodesic", "algorithm": "circle_cdf", "p": 1.0}
+LINE = {"metric": "line_euclidean"}
+
+
+class TestDistanceGolden:
+    """The full JSON line of each route, pinned at the values the command
+    printed when transport routines still returned result objects."""
+
+    @pytest.mark.parametrize("reference,flags,expected", [
+        ("uniform-circle", [], dict(CIRCLE, value=0.5276841812550043,
+                                    chordal_lower=0.3359341833525344,
+                                    chordal_upper=0.5276841812550043)),
+        ("semicircle", [], dict(LINE, algorithm="cdf_integral", p=1.0,
+                                value=0.30775158092639027)),
+        ("circle-pair", [], dict(CIRCLE, value=0.7, chordal_lower=0.44563384065730693,
+                                 chordal_upper=0.7)),
+        ("line-pair", ["--p", "1"], dict(LINE, algorithm="sorted_pairing", p=1.0,
+                                         value=0.4375)),
+        ("line-pair", ["--p", "1.5"], dict(LINE, algorithm="sorted_pairing", p=1.5,
+                                           value=0.4612582270977338)),
+    ], ids=["uniform-circle", "semicircle", "circle-pair", "line-pair-p1", "line-pair-p1.5"])
+    def test_route(self, tmp_path, capsys, reference, flags, expected):
+        write_angle_csv(tmp_path / "ca.csv", [0.3, 2.0, 4.5, 5.9])
+        write_angle_csv(tmp_path / "cb.csv", [1.0, 1.5, 3.0, 6.0])
+        write_line_csv(tmp_path / "la.csv", [-1.5, -0.25, 0.5, 1.75])
+        write_line_csv(tmp_path / "lb.csv", [-1.0, 0.0, 0.75, 2.5])
+        inputs = {"uniform-circle": ("ca.csv", reference), "semicircle": ("la.csv", reference),
+                  "circle-pair": ("ca.csv", str(tmp_path / "cb.csv")),
+                  "line-pair": ("la.csv", str(tmp_path / "lb.csv"))}
+        source, ref = inputs[reference]
+        code, out, err = run_cli(capsys, "distance", "--input", str(tmp_path / source),
+                                 "--reference", ref, *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+
+
 class TestDistanceFlags:
     @pytest.mark.parametrize("domain,reference,flags", [
         ("circle", "uniform-circle", ["--p", "2"]),
@@ -233,15 +275,24 @@ class TestExperiment:
         assert code == 1
         assert "summary.json" in err and "OK" not in out
 
-    @pytest.mark.parametrize("ensemble,threshold", [("compression", "-0.25"), ("unitary", "-0.6")])
-    def test_verdict_uses_the_ensemble_threshold(self, tmp_path, capsys, ensemble, threshold):
-        plan = write_plan(tmp_path / "plan.json", ensemble=ensemble, k_rule=None)
+    @pytest.mark.parametrize("overrides,threshold", [
+        ({"ensemble": "compression"}, "-0.25"),
+        ({"ensemble": "unitary"}, "-0.6"),
+        # slope -0.4707: PASS against -0.25, FAIL against -0.6
+        ({"ensemble": "compression", "n_grid": [8, 16, 32], "replicates": 30, "seed": 3,
+          "k_rule": "half"}, "-0.25"),
+    ], ids=["compression--0.25", "unitary--0.6", "compression-half--0.25"])
+    def test_verdict_uses_the_ensemble_threshold(self, tmp_path, capsys, overrides, threshold):
+        plan = write_plan(tmp_path / "plan.json", **overrides)
         outdir = tmp_path / "run"
         code, out, _ = run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir))
         assert code == 0
-        slope = json.loads((outdir / "summary.json").read_text())["rate"]["fit"]["slope"]
-        verdict = "PASS" if slope <= float(threshold) else "FAIL"
+        rate = json.loads((outdir / "summary.json").read_text())["rate"]
+        verdict = "PASS" if rate["fit"]["slope"] <= float(threshold) else "FAIL"
         assert out.splitlines()[-1].endswith(f"[{verdict} slope <= {threshold}]")
+        # summary.json states the same verdict, under a key naming the same threshold
+        assert [k for k in rate if k.startswith("slope_flag")] == [f"slope_flag_leq_{threshold}"]
+        assert rate[f"slope_flag_leq_{threshold}"] is (verdict == "PASS")
 
     @pytest.mark.parametrize("t_grid", [None, [0.0, 0.05]])
     def test_moments_reuse_the_rate_samples(self, tmp_path, capsys, monkeypatch, t_grid):
@@ -573,6 +624,15 @@ class TestNoTraceback:
                 reference, reference)
             argv = ["distance", "--input", paths[0], "--reference", ref, "--p", p]
             assert exit_code(argv) in (0, 1, 2)
+
+    def test_unwritable_sample_manifest(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.manifest.json").mkdir()
+        code, stdout, err = run_cli(capsys, "sample", "--ensemble", "unitary", "--n", "4",
+                                    "--count", "2", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+        assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
 
     @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"[1, 2]", b"\n",
                                          b"replicate\n0\n",

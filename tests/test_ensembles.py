@@ -165,7 +165,7 @@ class TestSymplectic:
                                                              64, r))).atoms
             for r in range(64)
         ])
-        d = w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value
+        d = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
         assert abs(d - reference["pooled_distance"]["uniform-circle"]) <= 1e-12
 
 

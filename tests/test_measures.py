@@ -85,6 +85,6 @@ def test_rotation_equivariance_of_distance():
         n = int(rng.integers(1, 12))
         atoms = rng.uniform(0, TWO_PI, n)
         phi = float(rng.uniform(0, TWO_PI))
-        d0 = w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value
-        d1 = w1_circle_uniform(EmpiricalMeasureCircle(np.mod(atoms + phi, TWO_PI))).value
+        d0 = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
+        d1 = w1_circle_uniform(EmpiricalMeasureCircle(np.mod(atoms + phi, TWO_PI)))
         assert d0 == pytest.approx(d1, abs=1e-10)

@@ -10,11 +10,10 @@ from speclab.measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from speclab.rng import StreamKey
 from speclab import transport
 from speclab.transport import (
-    Algorithm,
-    GroundMetric,
     assignment_oracle,
     chordal_distance,
     geodesic_distance,
+    line_distance,
     semicircle_cdf,
     w1_circle_pair,
     w1_circle_uniform,
@@ -28,17 +27,16 @@ TWO_PI = 2 * np.pi
 class TestWpLine:
     def test_identical_measures(self):
         m = EmpiricalMeasureLine([0.0, 1.0, 2.5])
-        assert wp_line(m, m, 1.0).value == 0.0
+        assert wp_line(m, m, 1.0) == 0.0
 
     def test_singletons(self):
         d = wp_line(EmpiricalMeasureLine([0.0]), EmpiricalMeasureLine([3.0]), 1.0)
-        assert d.value == pytest.approx(3.0)
-        assert d.algorithm is Algorithm.SORTED_PAIRING
+        assert d == pytest.approx(3.0)
 
     def test_monotone_coupling_beats_swap(self):
         # both pairings enumerated by hand: monotone gives (1 + 2) / 2
         d = wp_line(EmpiricalMeasureLine([0.0, 1.0]), EmpiricalMeasureLine([1.0, 3.0]), 1.0)
-        assert d.value == pytest.approx(1.5)
+        assert d == pytest.approx(1.5)
 
     def test_unequal_counts_rejected(self):
         with pytest.raises(ContractError):
@@ -54,8 +52,8 @@ class TestWpLine:
         n = min(len(xs), len(ys))
         m1 = EmpiricalMeasureLine(xs[:n])
         m2 = EmpiricalMeasureLine(ys[:n])
-        fast = wp_line(m1, m2, p).value
-        exact = assignment_oracle(m1, m2, GroundMetric.LINE_EUCLIDEAN, p).value
+        fast = wp_line(m1, m2, p)
+        exact = assignment_oracle(m1, m2, line_distance, p)
         assert fast == pytest.approx(exact, abs=1e-9)
 
     @given(
@@ -67,40 +65,34 @@ class TestWpLine:
         n = min(len(xs), len(ys))
         m1 = EmpiricalMeasureLine(xs[:n])
         m2 = EmpiricalMeasureLine(ys[:n])
-        assert wp_line(m1, m2, 1.0).value <= wp_line(m1, m2, 2.0).value + 1e-12
+        assert wp_line(m1, m2, 1.0) <= wp_line(m1, m2, 2.0) + 1e-12
 
 
 class TestCircleUniform:
     @pytest.mark.parametrize("n", list(range(1, 65)))
     def test_roots_of_unity(self, n):
         roots = EmpiricalMeasureCircle(TWO_PI * np.arange(n) / n)
-        assert w1_circle_uniform(roots).value == pytest.approx(np.pi / (2 * n), abs=1e-12)
+        assert w1_circle_uniform(roots) == pytest.approx(np.pi / (2 * n), abs=1e-12)
 
     def test_single_atom_anywhere(self):
         for theta in (0.0, 1.0, np.pi, 5.5):
             m = EmpiricalMeasureCircle([theta])
-            assert w1_circle_uniform(m).value == pytest.approx(np.pi / 2, abs=1e-12)
+            assert w1_circle_uniform(m) == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(1)
         atoms = rng.uniform(0, TWO_PI, 7)
-        base = w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value
+        base = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
         for phi in rng.uniform(0, TWO_PI, 10):
             rotated = EmpiricalMeasureCircle(np.mod(atoms + phi, TWO_PI))
-            assert w1_circle_uniform(rotated).value == pytest.approx(base, abs=1e-12)
-
-    def test_chordal_sandwich_metadata(self):
-        m = EmpiricalMeasureCircle([0.3, 2.0])
-        res = w1_circle_uniform(m)
-        assert res.extras["chordal_lower"] == pytest.approx(2 / np.pi * res.value)
-        assert res.extras["chordal_upper"] == pytest.approx(res.value)
+            assert w1_circle_uniform(rotated) == pytest.approx(base, abs=1e-12)
 
     def test_discretized_uniform_oracle(self):
         # roots of unity against a fine uniform proxy must approach pi/(2n)
         n = 4
         roots = EmpiricalMeasureCircle(TWO_PI * np.arange(n) / n)
         proxy = EmpiricalMeasureCircle(TWO_PI * (np.arange(1000) + 0.5) / 1000)
-        approx = w1_circle_pair(roots, proxy).value
+        approx = w1_circle_pair(roots, proxy)
         assert approx == pytest.approx(np.pi / (2 * n), abs=2e-3)
 
 
@@ -166,10 +158,10 @@ class TestCircleUniformSweep:
         fast_c = transport._value_median(g_right, g_left, lengths)
         slow_c = quadratic_value_median(g_right, g_left, lengths)
         assert fast_c == pytest.approx(slow_c, abs=1e-12)
-        fast = w1_circle_uniform(m).value
+        fast = w1_circle_uniform(m)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transport, "_value_median", quadratic_value_median)
-            slow = w1_circle_uniform(m).value
+            slow = w1_circle_uniform(m)
         assert fast == pytest.approx(slow, abs=1e-12)
 
     @given(
@@ -215,22 +207,22 @@ class TestCircleUniformSweep:
         n = 100_000
         atoms = TWO_PI * (np.arange(n) + 0.5) / n
         # equally spaced atoms, offset by half a spacing: W1 = pi / (2n)
-        assert w1_circle_uniform(EmpiricalMeasureCircle(atoms)).value == pytest.approx(
+        assert w1_circle_uniform(EmpiricalMeasureCircle(atoms)) == pytest.approx(
             np.pi / (2 * n), abs=1e-12
         )
         rng = np.random.default_rng(9)
-        value = w1_circle_uniform(EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))).value
+        value = w1_circle_uniform(EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n)))
         assert 0.0 < value < 0.05
 
 
 class TestCirclePair:
     def test_identical(self):
         m = EmpiricalMeasureCircle([0.5, 4.0])
-        assert w1_circle_pair(m, m).value == 0.0
+        assert w1_circle_pair(m, m) == 0.0
 
     def test_antipodal_singletons(self):
         d = w1_circle_pair(EmpiricalMeasureCircle([0.0]), EmpiricalMeasureCircle([np.pi]))
-        assert d.value == pytest.approx(np.pi, abs=1e-12)
+        assert d == pytest.approx(np.pi, abs=1e-12)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)
@@ -238,8 +230,8 @@ class TestCirclePair:
             n = int(rng.integers(1, 9))
             m1 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))
             m2 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))
-            fast = w1_circle_pair(m1, m2).value
-            exact = assignment_oracle(m1, m2, GroundMetric.CIRCLE_GEODESIC, 1.0).value
+            fast = w1_circle_pair(m1, m2)
+            exact = assignment_oracle(m1, m2, geodesic_distance, 1.0)
             assert fast == pytest.approx(exact, abs=1e-9)
 
     def test_metric_axioms_on_random_triples(self):
@@ -247,10 +239,10 @@ class TestCirclePair:
         for _ in range(500):
             n = int(rng.integers(1, 9))
             ms = [EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n)) for _ in range(3)]
-            dab = w1_circle_pair(ms[0], ms[1]).value
-            dba = w1_circle_pair(ms[1], ms[0]).value
-            dbc = w1_circle_pair(ms[1], ms[2]).value
-            dac = w1_circle_pair(ms[0], ms[2]).value
+            dab = w1_circle_pair(ms[0], ms[1])
+            dba = w1_circle_pair(ms[1], ms[0])
+            dbc = w1_circle_pair(ms[1], ms[2])
+            dac = w1_circle_pair(ms[0], ms[2])
             assert dab == pytest.approx(dba, abs=1e-9)
             assert dac <= dab + dbc + 1e-9
 
@@ -259,12 +251,46 @@ class TestCirclePair:
         for _ in range(500):
             n = int(rng.integers(1, 9))
             ms = [EmpiricalMeasureLine(rng.normal(size=n)) for _ in range(3)]
-            dab = wp_line(ms[0], ms[1], 1.0).value
-            dba = wp_line(ms[1], ms[0], 1.0).value
-            dbc = wp_line(ms[1], ms[2], 1.0).value
-            dac = wp_line(ms[0], ms[2], 1.0).value
+            dab = wp_line(ms[0], ms[1], 1.0)
+            dba = wp_line(ms[1], ms[0], 1.0)
+            dbc = wp_line(ms[1], ms[2], 1.0)
+            dac = wp_line(ms[0], ms[2], 1.0)
             assert dab == pytest.approx(dba, abs=1e-9)
             assert dac <= dab + dbc + 1e-9
+
+
+ANGLES = st.floats(0.0, TWO_PI, exclude_max=True)
+REALS = st.floats(-50, 50)
+
+
+class TestFloatRoutes:
+    @given(
+        n=st.integers(1, 12),
+        data=st.data(),
+        p=st.floats(1.0, 2.0),
+        ground=st.sampled_from([line_distance, geodesic_distance, chordal_distance]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_finite_non_negative_float(self, n, data, p, ground):
+        # every route sums non-negative terms; a negative or non-float
+        # distance would reach records.csv and the distance JSON as is
+        def measures(kind, elements):
+            return [kind(data.draw(st.lists(elements, min_size=n, max_size=n)))
+                    for _ in range(2)]
+
+        c1, c2 = measures(EmpiricalMeasureCircle, ANGLES)
+        l1, l2 = measures(EmpiricalMeasureLine, REALS)
+        o1, o2 = (l1, l2) if ground is line_distance else (c1, c2)
+        values = [
+            wp_line(l1, l2, p),
+            w1_circle_uniform(c1),
+            w1_circle_pair(c1, c2),
+            w1_line_vs_cdf(l1, semicircle_cdf, support=(-2, 2)),
+            assignment_oracle(o1, o2, ground, p),
+        ]
+        for value in values:
+            assert type(value) is float
+            assert np.isfinite(value) and value >= 0.0
 
 
 class TestHoffmanWielandtChain:
@@ -276,8 +302,8 @@ class TestHoffmanWielandtChain:
             b = gue_wigner(n, StreamKey(77, "hw_b", n, t))
             ma = eig_hermitian(a)
             mb = eig_hermitian(b)
-            d1 = wp_line(ma, mb, 1.0).value
-            d2 = wp_line(ma, mb, 2.0).value
+            d1 = wp_line(ma, mb, 1.0)
+            d2 = wp_line(ma, mb, 2.0)
             bound = hs_norm(a.entries - b.entries) / np.sqrt(n)
             assert d1 <= d2 + 1e-10
             assert d2 <= bound + 1e-10
@@ -286,12 +312,12 @@ class TestHoffmanWielandtChain:
 class TestAssignmentOracle:
     def test_self_distance_zero(self):
         m = EmpiricalMeasureCircle([0.1, 1.0, 2.0])
-        assert assignment_oracle(m, m, GroundMetric.CIRCLE_GEODESIC, 1.0).value == 0.0
+        assert assignment_oracle(m, m, geodesic_distance, 1.0) == 0.0
 
     def test_size_guard(self):
         m = EmpiricalMeasureLine(np.arange(13.0))
         with pytest.raises(SizeGuardError):
-            assignment_oracle(m, m, GroundMetric.LINE_EUCLIDEAN, 1.0)
+            assignment_oracle(m, m, line_distance, 1.0)
 
     def test_chordal_geodesic_sandwich(self):
         rng = np.random.default_rng(8)
@@ -299,8 +325,8 @@ class TestAssignmentOracle:
             n = int(rng.integers(1, 9))
             m1 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))
             m2 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n))
-            chord = assignment_oracle(m1, m2, GroundMetric.CIRCLE_CHORDAL, 1.0).value
-            geo = assignment_oracle(m1, m2, GroundMetric.CIRCLE_GEODESIC, 1.0).value
+            chord = assignment_oracle(m1, m2, chordal_distance, 1.0)
+            geo = assignment_oracle(m1, m2, geodesic_distance, 1.0)
             assert chord <= geo + 1e-12
             assert geo <= np.pi / 2 * chord + 1e-12
 
@@ -323,19 +349,19 @@ class TestLineVsCdf:
         vals = []
         for n in (10, 100):
             m = EmpiricalMeasureLine(quantiles(n))
-            vals.append(w1_line_vs_cdf(m, semicircle_cdf, support=(-2, 2)).value)
+            vals.append(w1_line_vs_cdf(m, semicircle_cdf, support=(-2, 2)))
         assert vals[1] < vals[0]
 
     def test_delta_at_zero_vs_semicircle(self):
         m = EmpiricalMeasureLine([0.0])
         d = w1_line_vs_cdf(m, semicircle_cdf, support=(-2, 2))
-        assert d.value == pytest.approx(8 / (3 * np.pi), abs=1e-8)
+        assert d == pytest.approx(8 / (3 * np.pi), abs=1e-8)
 
     def test_sign_flip_invariance(self):
         a = 0.7
         d1 = w1_line_vs_cdf(EmpiricalMeasureLine([-a, a]), semicircle_cdf, support=(-2, 2))
         d2 = w1_line_vs_cdf(EmpiricalMeasureLine([a, -a]), semicircle_cdf, support=(-2, 2))
-        assert d1.value == pytest.approx(d2.value, abs=1e-12)
+        assert d1 == pytest.approx(d2, abs=1e-12)
 
     def test_pooled_gue_pin(self):
         # perfbench's pooled_distance workload samples these 32 GUE(64)
@@ -347,7 +373,7 @@ class TestLineVsCdf:
             for r in range(32)
         ])
         d = w1_line_vs_cdf(EmpiricalMeasureLine(atoms), semicircle_cdf, support=(-2, 2))
-        assert abs(d.value - 0.005361721964526397) <= 1e-12
+        assert abs(d - 0.005361721964526397) <= 1e-12
 
 
 def numpy_semicircle_cdf(x):
