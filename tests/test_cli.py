@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from speclab import cli, ensembles, experiments
 from speclab.cli import main
-from speclab.ensembles import EnsembleTag
+from speclab.ensembles import ENSEMBLES, EnsembleTag
 from speclab.experiments import ExperimentPlan, run_moment_experiment
 
 TWO_PI = 2 * np.pi
@@ -518,6 +520,90 @@ class TestExperiment:
         assert summary["rate"]["fit"]["slope"] < 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert len(manifest["records_sha256"]) == 64
+
+
+FIT_KEYS = ["intercept", "n_used", "r_squared", "slope", "slope_stderr"]
+
+
+class TestSummaryOracle:
+    """summary.json's layout, and its numbers recomputed from the same run's
+    records.csv with the library's own formulas."""
+
+    @staticmethod
+    def d1_by_n(outdir):
+        with open(outdir / "records.csv", newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["statistic"] == "d1"]
+        by_n = {}
+        for row in rows:
+            by_n.setdefault(int(row["n"]), []).append(float(row["value"]))
+        return {n: np.array(values) for n, values in by_n.items()}
+
+    def run(self, tmp_path, capsys, overrides):
+        plan = write_plan(tmp_path / "plan.json", **overrides)
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir))
+        assert code == 0, err
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["plan"] == json.loads(plan.read_text())
+        return summary, self.d1_by_n(outdir)
+
+    def test_su_tails_and_moments(self, tmp_path, capsys):
+        summary, d1 = self.run(tmp_path, capsys, {
+            "ensemble": "su", "n_grid": [6, 8, 10], "replicates": 20,
+            "t_grid": [0.0, 0.02, 10.0], "moments_kmax": 3})
+        assert list(summary) == ["concentration", "moments", "plan"]
+        conc = summary["concentration"]
+        assert list(conc) == ["std_by_n", "std_fit", "tails"]
+        assert [list(s) for s in conc["std_by_n"]] == [["n", "std"]] * 3
+        assert conc["std_by_n"] == [{"n": n, "std": float(np.std(d1[n], ddof=1))}
+                                    for n in (6, 8, 10)]
+        assert list(conc["std_fit"]) == FIT_KEYS
+        assert conc["std_fit"] == asdict(experiments.fit_loglog(
+            [(n, np.std(d1[n], ddof=1)) for n in (6, 8, 10)]))
+        assert [(t["n"], t["t"]) for t in conc["tails"]] == [
+            (n, t) for n in (6, 8, 10) for t in (0.0, 0.02, 10.0)]
+        for tail in conc["tails"]:
+            assert list(tail) == ["n", "p_hat", "replicates", "t", "wilson_high", "wilson_low"]
+            values = d1[tail["n"]]
+            hits = int(np.sum(values >= np.mean(values) + tail["t"]))
+            low, high = experiments.wilson_interval(hits, values.size)
+            assert (tail["p_hat"], tail["replicates"]) == (hits / values.size, values.size)
+            assert (tail["wilson_low"], tail["wilson_high"]) == (low, high)
+        assert [(m["n"], m["k"]) for m in summary["moments"]] == [
+            (n, k) for n in (6, 8, 10) for k in (1, 2, 3)]
+        for moment in summary["moments"]:
+            assert list(moment) == ["bounded_consistent", "ensemble", "k", "mean_im",
+                                    "mean_re", "n", "stderr", "zero_consistent"]
+
+    @pytest.mark.parametrize("overrides,x,fitted", [
+        ({"ensemble": "compression", "n_grid": [8, 16, 32], "replicates": 30, "seed": 3,
+          "k_rule": "half"}, [32.0, 128.0, 512.0], True),
+        ({"n_grid": [4, 8], "replicates": 5}, [4.0, 8.0], False),
+    ], ids=["compression", "two-point-grid"])
+    def test_rate(self, tmp_path, capsys, overrides, x, fitted):
+        summary, d1 = self.run(tmp_path, capsys, overrides)
+        threshold = ENSEMBLES[EnsembleTag(summary["plan"]["ensemble"])].rate_slope_max
+        flag = f"slope_flag_leq_{threshold}"
+        assert list(summary) == ["plan", "rate"]
+        rate = summary["rate"]
+        assert list(rate) == ["fit", "per_n", flag, "warnings"]
+        means = []
+        for row, xn in zip(rate["per_n"], x, strict=True):
+            assert list(row) == ["ci95", "mean_d1", "n", "std_d1", "x"]
+            values = d1[row["n"]]
+            mean, std = float(np.mean(values)), float(np.std(values, ddof=1))
+            half = 1.959963984540054 * std / np.sqrt(values.size)
+            assert row == {"ci95": [mean - half, mean + half], "mean_d1": mean,
+                           "n": row["n"], "std_d1": std, "x": xn}
+            means.append((xn, mean))
+        if fitted:
+            fit = experiments.fit_loglog(means)
+            assert rate["fit"] == asdict(fit) and list(rate["fit"]) == FIT_KEYS
+            assert rate[flag] is (fit.slope <= threshold)
+            assert rate["warnings"] == []
+        else:
+            assert rate["fit"] is None and rate[flag] is False
+            assert rate["warnings"] == ["fewer than 3 grid points: rate fit omitted"]
 
 
 class TestVerify:
