@@ -122,9 +122,13 @@ def cmd_sample(args) -> int:
         "record_count": len(spectra),
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }
+    sidecar = args.out + ".manifest.json"
     try:
+        # an earlier sample's sidecar would vouch for this CSV if a write below fails
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar)
         _write_whole(args.out, payload)
-        _write_json(args.out + ".manifest.json", manifest)
+        _write_json(sidecar, manifest)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -230,12 +234,12 @@ def records_to_csv(records) -> str:
     ordered = sorted(records, key=lambda r: (r.n, r.replicate, r.statistic))
     for rec in ordered:
         writer.writerow([rec.ensemble, rec.n, rec.replicate, rec.statistic,
-                         _fmt(rec.value), rec.key.master_seed])
+                         _fmt(rec.value), rec.seed])
     return buf.getvalue()
 
 
 def cmd_experiment(args) -> int:
-    from .experiments import concentration_tails, run_rate_experiment
+    from .experiments import run_rate_experiment
 
     try:
         plan = load_plan(args.plan, seed_override=args.seed)
@@ -258,34 +262,12 @@ def cmd_experiment(args) -> int:
     except OSError as exc:
         print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    summary: dict = {"plan": asdict(plan)}
-    threshold = ENSEMBLES[plan.ensemble].rate_slope_max
     rate = run_rate_experiment(plan, workers=args.workers)
-    if plan.t_grid:
-        conc = concentration_tails(rate, plan.t_grid)
-        summary["concentration"] = {
-            "std_by_n": [{"n": s.n, "std": s.std} for s in rate.summaries],
-            "std_fit": None if conc.std_fit is None else asdict(conc.std_fit),
-            "tails": [asdict(t) for t in conc.tails],
-        }
-    else:
-        summary["rate"] = {
-            "per_n": [
-                {"n": s.n, "x": s.x, "mean_d1": s.mean, "std_d1": s.std,
-                 "ci95": [s.ci95_low, s.ci95_high]}
-                for s in rate.summaries
-            ],
-            "fit": None if rate.fit is None else asdict(rate.fit),
-            f"slope_flag_leq_{threshold}": bool(rate.fit and rate.fit.slope <= threshold),
-            "warnings": list(rate.warnings),
-        }
-    if plan.moments_kmax:
-        summary["moments"] = [asdict(e) for e in rate.moments]
 
     csv_payload = records_to_csv(rate.records)
     try:
         _write_whole(os.path.join(args.out, "records.csv"), csv_payload)
-        summary_sha256 = _write_json(os.path.join(args.out, "summary.json"), summary)
+        summary_sha256 = _write_json(os.path.join(args.out, "summary.json"), rate.summary())
         manifest = {
             "tool_version": __version__,
             "master_seed": plan.seed,
@@ -303,8 +285,8 @@ def cmd_experiment(args) -> int:
 
     print(f"ensemble={plan.ensemble.value} records={len(rate.records)}")
     if not plan.t_grid and rate.fit is not None:
-        fit = rate.fit
-        verdict = "PASS" if fit.slope <= threshold else "FAIL"
+        fit, threshold = rate.fit, ENSEMBLES[plan.ensemble].rate_slope_max
+        verdict = "PASS" if rate.passed else "FAIL"
         print(f"rate fit: slope={fit.slope:.4f} stderr={fit.slope_stderr:.4f} "
               f"r2={fit.r_squared:.4f} [{verdict} slope <= {threshold}]")
     return EXIT_OK

@@ -1,6 +1,8 @@
-"""Declarative Monte-Carlo experiments: mean-distance rates, concentration
-tails, trace-moment identities, the U(n)/SU(n) coupling check, and the
-Lipschitz/containment inequality suite.
+"""Declarative Monte-Carlo experiments.  One run of a plan gives one
+``RateExperimentResult``: the mean-distance rate, the concentration tails and
+the trace-moment estimates, rendered by its ``summary()`` as summary.json.
+Beside it sit the U(n)/SU(n) coupling check and the Lipschitz/containment
+inequality suite.
 
 Every experiment maps one cell kernel over its (n, replicate) stream keys,
 in one process pool at most, and reduces the cells in key order, so results
@@ -15,7 +17,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .ensembles import (
     sample_compression,
 )
 from .errors import ContractError
-from .matlin import eig_hermitian, eig_unitary_angles, hs_norm, spectral_diameter
+from .matlin import eig_hermitian, eig_unitary_angles, hs_norm
 from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
@@ -155,7 +157,7 @@ class SummaryRecord:
     replicate: int
     statistic: str
     value: float
-    key: StreamKey
+    seed: int  # the plan's master seed
 
 
 @dataclass(frozen=True)
@@ -189,17 +191,48 @@ class PerDimensionSummary:
 
 @dataclass(frozen=True)
 class RateExperimentResult:
-    summaries: tuple
-    fit: RateFitResult | None
+    """Everything one run of a plan measures; ``summary()`` is summary.json."""
+
+    plan: ExperimentPlan
+    summaries: tuple  # PerDimensionSummary per n
+    fit: RateFitResult | None  # mean d1 against the abscissa; None below 3 grid points
     records: tuple
     warnings: tuple = ()
+    tails: tuple = ()  # TailEstimates per (n, t), when the plan sets t_grid
+    std_fit: RateFitResult | None = None  # std(d1) against n, when the plan sets t_grid
     moments: tuple = ()  # MomentEstimates, when the plan sets moments_kmax
 
+    @property
+    def passed(self) -> bool:
+        """The fitted slope is at or below the ensemble's rate threshold."""
+        return (self.fit is not None
+                and self.fit.slope <= ENSEMBLES[self.plan.ensemble].rate_slope_max)
 
-@dataclass(frozen=True)
-class ConcentrationResult:
-    tails: tuple
-    std_fit: RateFitResult | None
+    def summary(self) -> dict:
+        """The summary.json object: the plan, then either the concentration
+        block (a plan with a t_grid) or the rate block, then the moments."""
+        out: dict = {"plan": asdict(self.plan)}
+        if self.plan.t_grid:
+            out["concentration"] = {
+                "std_by_n": [{"n": s.n, "std": s.std} for s in self.summaries],
+                "std_fit": None if self.std_fit is None else asdict(self.std_fit),
+                "tails": [asdict(t) for t in self.tails],
+            }
+        else:
+            threshold = ENSEMBLES[self.plan.ensemble].rate_slope_max
+            out["rate"] = {
+                "per_n": [
+                    {"n": s.n, "x": s.x, "mean_d1": s.mean, "std_d1": s.std,
+                     "ci95": [s.ci95_low, s.ci95_high]}
+                    for s in self.summaries
+                ],
+                "fit": None if self.fit is None else asdict(self.fit),
+                f"slope_flag_leq_{threshold}": self.passed,
+                "warnings": list(self.warnings),
+            }
+        if self.plan.moments_kmax:
+            out["moments"] = [asdict(e) for e in self.moments]
+        return out
 
 
 @dataclass(frozen=True)
@@ -333,7 +366,11 @@ def _summarize(n, x, values):
 
 
 def _moment_estimates(ensemble: EnsembleTag, n: int, traces: np.ndarray) -> list:
-    """E tr U^k per k from a (replicates x k_max) array of traces."""
+    """E tr U^k per k from a (replicates x k_max) array of traces.
+
+    U(n)/SU(n) means should be zero-consistent (|mean| <= 4 stderr); the
+    real groups and Sp are bounded-consistent (|mean| <= 1 + 4 stderr).
+    """
     estimates = []
     for k in range(1, traces.shape[1] + 1):
         col = traces[:, k - 1]
@@ -353,8 +390,9 @@ def _moment_estimates(ensemble: EnsembleTag, n: int, traces: np.ndarray) -> list
 
 
 def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimentResult:
-    """Mean d1 to the reference per dimension, plus a log-log rate fit, and
-    the trace moments when the plan sets ``moments_kmax``.
+    """Mean d1 to the reference per dimension, plus a log-log rate fit; the
+    tails P[d1 >= mean + t] and a log-log fit of std(d1) against n when the
+    plan sets ``t_grid``; the trace moments when it sets ``moments_kmax``.
 
     Circle ensembles measure against the uniform law; line models use a
     split-sample pooled reference: replicates 0..m-1 build the pool and
@@ -367,7 +405,7 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
     reps = first + m
     cells = _parallel_map(_cell, [(plan, n, r) for n in plan.n_grid for r in range(reps)],
                           workers)
-    summaries, records, moments, warnings = [], [], [], []
+    summaries, records, tails, moments, warnings = [], [], [], [], []
     for i, n in enumerate(plan.n_grid):
         block = cells[i * reps:(i + 1) * reps]
         if first:
@@ -375,55 +413,43 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
             for c in block[first:]:
                 c["d1"] = _d1_to_pooled(c["spectrum"], pooled)
         for r in range(first, reps):
-            key = StreamKey(plan.seed, tag.value, n, r)
             for stat in ("d1", "weyl_violation"):
                 if stat in block[r]:
-                    records.append(SummaryRecord(tag.value, n, r, stat, block[r][stat], key))
+                    records.append(SummaryRecord(tag.value, n, r, stat, block[r][stat], plan.seed))
         x = plan.k_of(n) * n if row.kn_abscissa else n
-        summaries.append(_summarize(n, x, [c["d1"] for c in block[first:]]))
+        d1 = np.array([c["d1"] for c in block[first:]])
+        summary = _summarize(n, x, d1)
+        summaries.append(summary)
+        for t in plan.t_grid or ():
+            hits = int(np.sum(d1 >= summary.mean + t))
+            lo, hi = wilson_interval(hits, d1.size)
+            tails.append(TailEstimate(n=n, t=t, p_hat=hits / d1.size, replicates=d1.size,
+                                      wilson_low=lo, wilson_high=hi))
         if plan.moments_kmax:
             moments += _moment_estimates(tag, n, np.array([c["traces"] for c in block]))
 
-    fit = None
+    fit = std_fit = None
     if len(summaries) >= 3:
         fit = fit_loglog([(s.x, s.mean) for s in summaries])
+        # std(d1) can be 0 (every d1 at n = 1 is pi/2), which a fit refuses, so
+        # only the plans whose summary reports this fit compute it
+        if plan.t_grid:
+            std_fit = fit_loglog([(s.n, s.std) for s in summaries])
     else:
         warnings.append("fewer than 3 grid points: rate fit omitted")
-    return RateExperimentResult(tuple(summaries), fit, tuple(records), tuple(warnings),
-                                tuple(moments))
+    return RateExperimentResult(plan, tuple(summaries), fit, tuple(records), tuple(warnings),
+                                tuple(tails), std_fit, tuple(moments))
 
 
-def concentration_tails(rate: RateExperimentResult, t_grid) -> ConcentrationResult:
-    """Empirical tails P[d1 >= mean + t] per (n, t), plus a log-log fit of
-    the per-n standard deviation of d1 against n, from a rate run."""
-    tails = []
-    for s in rate.summaries:
-        vals = np.array([rec.value for rec in rate.records
-                         if rec.n == s.n and rec.statistic == "d1"])
-        for t in t_grid:
-            hits = int(np.sum(vals >= s.mean + t))
-            lo, hi = wilson_interval(hits, vals.size)
-            tails.append(TailEstimate(n=s.n, t=float(t), p_hat=hits / vals.size,
-                                      replicates=vals.size, wilson_low=lo, wilson_high=hi))
-    stds = [(s.n, s.std) for s in rate.summaries]
-    std_fit = fit_loglog(stds) if len(stds) >= 3 else None
-    return ConcentrationResult(tuple(tails), std_fit)
-
-
-def run_concentration_experiment(plan: ExperimentPlan, t_grid=None, workers: int = 1) -> ConcentrationResult:
-    """Concentration tails over a rate run; ``t_grid`` defaults to the plan's."""
-    ts = tuple(t_grid) if t_grid is not None else (plan.t_grid or ())
-    return concentration_tails(run_rate_experiment(plan, workers=workers), ts)
-
-
-def run_moment_experiment(plan: ExperimentPlan, k_max: int, workers: int = 1):
-    """Monte-Carlo estimates of E tr U^k for k = 1..k_max (< n), from the
-    samples of a rate run.
-
-    U(n)/SU(n) means should be zero-consistent (|mean| <= 4 stderr); the
-    real groups and Sp are bounded-consistent (|mean| <= 1 + 4 stderr).
-    """
-    return list(run_rate_experiment(replace(plan, moments_kmax=k_max), workers).moments)
+def two_sample_ks_statistic(x, y) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|, computed as
+    ``scipy.stats.ks_2samp`` does: both empirical CDFs are evaluated at every
+    point of the merged data, so ties are counted on both sides."""
+    x, y = np.sort(x), np.sort(y)
+    merged = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, merged, side="right") / x.size
+    cdf_y = np.searchsorted(y, merged, side="right") / y.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
 def two_sample_ks_critical(n1: int, n2: int, level: float = 0.01) -> float:
@@ -449,9 +475,7 @@ def run_identdist_experiment(n: int, replicates: int, seed: int,
     cells = _parallel_map(_cell, [(p, p.n_grid[0], r) for p in plans for r in range(replicates)], 1)
     xs = np.array([c["d1"] for c in cells[:replicates]])
     ys = np.array([c["d1"] for c in cells[replicates:]])
-    from scipy import stats
-
-    stat = float(stats.ks_2samp(xs, ys, method="asymp").statistic)
+    stat = two_sample_ks_statistic(xs, ys)
     crit = two_sample_ks_critical(xs.size, ys.size, level=0.01)
     return IdentDistResult(ks_statistic=stat, critical_value=crit,
                            accept=stat <= crit, samples_per_side=replicates)
@@ -491,17 +515,15 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
         if d2 > hs_norm(a.entries - b.entries) / math.sqrt(n) + slack:
             hw += 1
 
-        delta = spectral_diameter(a)
+        delta = ea[-1] - ea[0]  # the spectral diameter of A
         uv = hs_norm(u.entries - v.entries)
-        lhs = hs_norm(u.entries @ a.entries @ u.entries.conj().T
-                      - v.entries @ a.entries @ v.entries.conj().T)
-        if lhs > delta * uv + slack:
+        uau = u.entries @ a.entries @ u.entries.conj().T
+        vav = v.entries @ a.entries @ v.entries.conj().T
+        if hs_norm(uau - vav) > delta * uv + slack:
             conj += 1
 
         k = int(rng.integers(1, n + 1))
-        pu = (u.entries @ a.entries @ u.entries.conj().T)[:k, :k]
-        pv = (v.entries @ a.entries @ v.entries.conj().T)[:k, :k]
-        if hs_norm(pu - pv) > delta * uv + slack:
+        if hs_norm(uau[:k, :k] - vav[:k, :k]) > delta * uv + slack:
             comp += 1
 
         em = eig_hermitian(randomized_sum(a, b, u)).atoms

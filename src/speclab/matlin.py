@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: norms, QR with positive diagonal, Hermitian
-and unitary eigendecompositions, spectral diameter.
+"""Dense complex linear algebra: norms, QR with positive diagonal, and
+Hermitian and unitary eigendecompositions.
 
 All values are immutable after construction and safe to share between
 threads.  Eigensolvers are LAPACK-backed (via numpy) and return the empirical
@@ -96,13 +96,6 @@ def eig_hermitian(a: HermitianView) -> EmpiricalMeasureLine:
         return EmpiricalMeasureLine(np.linalg.eigvalsh(a.entries))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailureError(f"Hermitian eigensolver failed: {exc}") from exc
-
-
-def spectral_diameter(a: HermitianView) -> float:
-    """lambda_max - lambda_min; equals twice the operator-norm distance to
-    the scalar matrices."""
-    vals = eig_hermitian(a).atoms
-    return float(vals[-1] - vals[0])
 
 
 def qr_positive(g: ComplexMatrix) -> UnitaryView:

@@ -7,6 +7,7 @@ and are pinned here; do not loosen them to make a failing run green.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from speclab.cli import main as cli_main
 from speclab.ensembles import EnsembleTag, gue_wigner, sample_circle_ensemble
 from speclab.experiments import (
     ExperimentPlan,
-    run_concentration_experiment,
     run_identdist_experiment,
     run_lipschitz_suite,
-    run_moment_experiment,
     run_rate_experiment,
 )
 from speclab.matlin import eig_hermitian, eig_unitary_angles
@@ -85,7 +84,7 @@ def test_criterion_03_moment_identities():
         ("symplectic", 8, 6, "alternating"),
     ]:
         plan = ExperimentPlan(EnsembleTag(tag), (n,), 10000, SEED)
-        ests = run_moment_experiment(plan, kmax)
+        ests = run_rate_experiment(replace(plan, moments_kmax=kmax)).moments
         if expect == "zero":
             ok &= all(e.zero_consistent for e in ests)
         else:
@@ -126,7 +125,7 @@ def test_criterion_05_group_rate():
 def test_criterion_06_concentration_scaling():
     plan = ExperimentPlan(EnsembleTag.UNITARY, (16, 32, 64, 128, 256), 500,
                           SEED, t_grid=(0.0,))
-    conc = run_concentration_experiment(plan)
+    conc = run_rate_experiment(plan)
     report(6, "concentration std scaling", conc.std_fit.slope <= -0.8)
 
 

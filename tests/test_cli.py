@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from speclab import cli, ensembles, experiments
 from speclab.cli import main
 from speclab.ensembles import ENSEMBLES, EnsembleTag
-from speclab.experiments import ExperimentPlan, run_moment_experiment
+from speclab.experiments import ExperimentPlan, run_rate_experiment
 
 TWO_PI = 2 * np.pi
 
@@ -316,7 +316,8 @@ class TestExperiment:
         assert len(calls) == 3 * 5
         monkeypatch.undo()
         moments = json.loads((outdir / "summary.json").read_text())["moments"]
-        expected = run_moment_experiment(ExperimentPlan(EnsembleTag.UNITARY, (4, 6, 8), 5, 7), 3)
+        expected = run_rate_experiment(
+            ExperimentPlan(EnsembleTag.UNITARY, (4, 6, 8), 5, 7, moments_kmax=3)).moments
         assert moments == [vars(e) for e in expected]
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
@@ -719,6 +720,27 @@ class TestNoTraceback:
         assert (code, stdout) == (1, "")
         assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
         assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+
+    def test_failed_resample_leaves_no_stale_manifest(self, tmp_path, capsys, monkeypatch):
+        # the new CSV moves into place, then the sidecar's move fails
+        out = tmp_path / "x.csv"
+        argv = ["sample", "--ensemble", "unitary", "--n", "4", "--count", "2", "--out", str(out)]
+        assert run_cli(capsys, *argv, "--seed", "1")[0] == 0
+        moves = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            moves.append(dst)
+            if len(moves) == 2:
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        code, stdout, err = run_cli(capsys, *argv, "--seed", "2")
+        monkeypatch.undo()
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+        assert sorted(os.listdir(tmp_path)) == ["x.csv"]
 
     @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"[1, 2]", b"\n",
                                          b"replicate\n0\n",

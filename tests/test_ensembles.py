@@ -17,12 +17,14 @@ from speclab.ensembles import (
     haar_symplectic,
     haar_unitary,
     randomized_sum,
+    randomized_sum_factors,
     sample_circle_ensemble,
     sample_coe,
     sample_cse,
     symplectic_form,
 )
 from speclab.errors import ContractError
+from speclab.experiments import two_sample_ks_critical, two_sample_ks_statistic
 from speclab.matlin import (
     HermitianView,
     UnitaryView,
@@ -305,6 +307,19 @@ class TestRandomizedSum:
             eps = 1e-8 * (op_norm(a) + op_norm(b))
             assert em[0] >= ea[0] + eb[0] - eps
             assert em[-1] <= ea[-1] + eb[-1] + eps
+
+    @pytest.mark.parametrize("scale,accept", [(np.sqrt(2.0), True), (1.0, False)],
+                             ids=["sqrt2-gue", "gue-control"])
+    def test_is_gue_in_law(self, scale, accept):
+        # U A U* is again a GUE independent of U and B, so U A U* + B is a GUE
+        # of entry variance 2/n: sqrt(2) times gue_wigner's spectra in law
+        n, reps = 16, 200
+        sums = np.concatenate([eig_hermitian(randomized_sum(*randomized_sum_factors(
+            n, key("rs_law", n, r)))).atoms for r in range(reps)])
+        gue = np.concatenate([scale * eig_hermitian(gue_wigner(n, key("rs_law_gue", n, r))).atoms
+                              for r in range(reps)])
+        d = two_sample_ks_statistic(sums, gue)
+        assert (d <= two_sample_ks_critical(sums.size, gue.size, level=0.01)) is accept
 
 
 class TestGroupMembership:

@@ -1,7 +1,7 @@
 import json
 import os
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,12 +15,11 @@ from speclab.experiments import (
     ExperimentPlan,
     _d1_to_pooled,
     fit_loglog,
-    run_concentration_experiment,
     run_identdist_experiment,
     run_lipschitz_suite,
-    run_moment_experiment,
     run_rate_experiment,
     two_sample_ks_critical,
+    two_sample_ks_statistic,
     wilson_interval,
 )
 from speclab.matlin import eig_hermitian
@@ -207,7 +206,7 @@ class TestRateExperiment:
     def test_moments_ride_along_with_d1(self):
         plan = ExperimentPlan(EnsembleTag.SO, (6, 8), 30, SEED, moments_kmax=4)
         res = run_rate_experiment(plan, workers=2)
-        assert list(res.moments) == run_moment_experiment(plan, 4)
+        assert list(res.moments) == list(run_rate_experiment(plan).moments)
         bare = run_rate_experiment(ExperimentPlan(EnsembleTag.SO, (6, 8), 30, SEED))
         assert res.records == bare.records
         assert bare.moments == ()
@@ -269,7 +268,7 @@ class TestConcentration:
     def test_tails_and_fit(self):
         plan = ExperimentPlan(EnsembleTag.UNITARY, (8, 16, 32), 40, SEED,
                               t_grid=(0.0, 10.0))
-        res = run_concentration_experiment(plan, workers=2)
+        res = run_rate_experiment(plan, workers=2)
         by_key = {(t.n, t.t): t for t in res.tails}
         for n in (8, 16, 32):
             # t = 0 captures everything at or above the mean, huge t nothing
@@ -289,13 +288,13 @@ class TestConcentration:
 class TestMoments:
     def test_su_low_moments_zero(self):
         plan = ExperimentPlan(EnsembleTag.SU, (6,), 2000, SEED)
-        ests = run_moment_experiment(plan, 3)
+        ests = run_rate_experiment(replace(plan, moments_kmax=3)).moments
         assert all(e.zero_consistent for e in ests)
         assert [e.k for e in ests] == [1, 2, 3]
 
     def test_so_alternates(self):
         plan = ExperimentPlan(EnsembleTag.SO, (8,), 2000, SEED)
-        ests = run_moment_experiment(plan, 4)
+        ests = run_rate_experiment(replace(plan, moments_kmax=4)).moments
         assert ests[0].zero_consistent and ests[2].zero_consistent
         assert ests[1].bounded_consistent and ests[3].bounded_consistent
         assert abs(ests[1].mean_re - 1.0) < 0.2
@@ -309,7 +308,7 @@ class TestMoments:
         # and 0 at odd k for Sp.  A miswired sampler misses these by far more
         # than the 4 stderr allowed (U(8) read as SO(8): about 17 stderr).
         even = {"orthogonal": 1.0, "so": 1.0, "so_minus": 1.0, "symplectic": -1.0}
-        ests = run_moment_experiment(ExperimentPlan(tag, (n,), 600, SEED), n - 1)
+        ests = run_rate_experiment(ExperimentPlan(tag, (n,), 600, SEED, moments_kmax=n - 1)).moments
         assert [e.k for e in ests] == list(range(1, n))
         for e in ests:
             exact = even.get(tag, 0.0) if e.k % 2 == 0 else 0.0
@@ -318,7 +317,7 @@ class TestMoments:
     def test_k_must_stay_below_n(self):
         plan = ExperimentPlan(EnsembleTag.UNITARY, (4,), 10, SEED)
         with pytest.raises(ContractError):
-            run_moment_experiment(plan, 4)
+            run_rate_experiment(replace(plan, moments_kmax=4))
 
 
 class TestIdentDist:
@@ -326,6 +325,19 @@ class TestIdentDist:
         # asymptotic two-sample threshold at level 0.01
         expected = np.sqrt(-0.5 * np.log(0.005)) * np.sqrt(2 / 300)
         assert two_sample_ks_critical(300, 300) == pytest.approx(expected)
+
+    # small integers force ties within and across the samples
+    SAMPLE = st.lists(st.integers(-3, 3) | st.floats(-10, 10), min_size=1, max_size=40)
+
+    # scipy's p-value for one-point samples divides by zero; only D is compared
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @given(x=SAMPLE, y=SAMPLE)
+    @settings(max_examples=300, deadline=None)
+    def test_statistic_is_scipys(self, x, y):
+        from scipy import stats
+
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        assert two_sample_ks_statistic(x, y) == stats.ks_2samp(x, y, method="asymp").statistic
 
     def test_matched_accepts(self):
         res = run_identdist_experiment(16, 400, SEED)

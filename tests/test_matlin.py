@@ -14,7 +14,6 @@ from speclab.matlin import (
     eig_unitary_angles,
     hs_norm,
     qr_positive,
-    spectral_diameter,
 )
 from speclab.rng import StreamKey
 
@@ -104,29 +103,6 @@ class TestHsNorm:
 
     def test_two_unit_entries(self):
         assert hs_norm(ComplexMatrix([[0, 1], [1, 0]])) == pytest.approx(np.sqrt(2), abs=1e-14)
-
-
-class TestOpNormAndDiameter:
-    def test_diameter_identity_is_zero(self):
-        assert spectral_diameter(HermitianView(np.eye(4))) == pytest.approx(0.0, abs=1e-14)
-
-    def test_diameter_diag(self):
-        assert spectral_diameter(HermitianView(np.diag([1.0, -3.0]))) == pytest.approx(4.0)
-
-    def test_diameter_off_diag(self):
-        assert spectral_diameter(HermitianView([[0, 1], [1, 0]])) == pytest.approx(2.0, abs=1e-12)
-
-    def test_diameter_equals_twice_best_scalar_shift(self):
-        # delta(A) = 2 min_lambda ||A - lambda I||_op, minimized at the midrange
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            n = int(rng.integers(2, 17))
-            a = random_hermitian(rng, n)
-            vals = eig_hermitian(a).atoms
-            mid = (vals[0] + vals[-1]) / 2
-            shifted = a.entries - mid * np.eye(n)
-            op_norm = np.linalg.norm(shifted, 2)  # largest singular value
-            assert spectral_diameter(a) == pytest.approx(2 * op_norm, abs=1e-8)
 
 
 class TestQrPositive:
