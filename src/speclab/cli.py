@@ -27,9 +27,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .ensembles import ENSEMBLES, EnsembleTag
+from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag, symplectic_form
 from .errors import SpeclabError, ContractError
-from .matlin import eig_hermitian, eig_unitary_angles
+from .matlin import det_lu, hs_norm
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from .rng import StreamKey
 from .transport import (
@@ -98,10 +98,13 @@ def cmd_sample(args) -> int:
     tag = EnsembleTag(args.ensemble)
     row = ENSEMBLES[tag]  # argparse choices leave only rows with a sampler
     n = 2 * args.n if row.half_dimension else args.n  # ambient dimension
-    eig, colname = ((eig_unitary_angles, "angle") if row.domain == "circle"
-                    else (eig_hermitian, "eigenvalue"))
+    if n > MAX_DIMENSION:
+        print(f"error: --n {args.n} gives ambient dimension {n}, above the largest "
+              f"supported, {MAX_DIMENSION}", file=sys.stderr)
+        return EXIT_USAGE
+    colname = "angle" if row.domain == "circle" else "eigenvalue"
     started = _utcnow()
-    spectra = [eig(row.sample(args.n, StreamKey(args.seed, tag.value, n, r))).atoms
+    spectra = [row.spectrum(n, StreamKey(args.seed, tag.value, n, r)).atoms
                for r in range(args.count)]
 
     buf = io.StringIO()
@@ -341,9 +344,6 @@ def _verify_transport_oracle(trials: int, seed: int) -> int:
 
 
 def _verify_group_membership(trials: int, seed: int) -> int:
-    from .matlin import hs_norm, det_lu
-    from .ensembles import sample_circle_ensemble, symplectic_form
-
     bad = 0
     dims = [2, 3, 8, 17, 64]
     per_dim = max(1, trials // len(dims))
@@ -355,7 +355,7 @@ def _verify_group_membership(trials: int, seed: int) -> int:
                 amb = n + 1 if (row.half_dimension and n % 2) else n
                 key = StreamKey(seed, f"verify/{tag.value}", amb, r)
                 try:
-                    u = sample_circle_ensemble(tag, amb, key)
+                    u = row.sample(amb, key)
                 except SpeclabError:
                     bad += 1
                     continue

@@ -10,16 +10,21 @@ reproduces the matrix bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ContractError, NumericalFailureError
-from .matlin import ComplexMatrix, HermitianView, UnitaryView, qr_positive, det_lu
+from .matlin import (ComplexMatrix, HermitianView, UnitaryView, qr_positive, det_lu,
+                     eig_hermitian, eig_unitary_angles)
 from .rng import StreamKey, standard_complex_normal, subkey
 
 DET_TOL = 1e-8
+#: the largest ambient dimension n for which numpy can describe an n-by-n
+#: complex128 array; numpy refuses a larger one before it allocates anything
+MAX_DIMENSION = math.isqrt(np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize)
 
 
 class EnsembleTag(str, Enum):
@@ -44,19 +49,30 @@ class Ensemble:
     #: name of the function in this module that draws one sample; None for
     #: the models built from several factors, which ``sample`` does not offer
     sampler: str | None = None
-    half_dimension: bool = False  # n counts half the ambient dimension (Sp, CSE)
+    half_dimension: bool = False  # the sampler takes half the ambient dimension (Sp, CSE)
     #: slope a rate fit must reach for a PASS: the theorem rate is n^{-2/3},
     #: except for compressions, whose rate in kn is (kn)^{-1/3}
     rate_slope_max: float = -0.6
     kn_abscissa: bool = False  # the model has a rank k, and its rate abscissa is k*n
 
     def sample(self, n: int, key: StreamKey):
-        """One draw at the natural parameter n (the half-dimension for Sp and
-        CSE).  The sampler is looked up by name at call time, so rebinding
-        the module attribute (a tracing wrapper, a test's patch) takes effect."""
+        """One draw of ambient dimension n; the half-dimension rows pass n // 2
+        to their sampler and refuse an odd n.  The sampler is looked up by
+        name at call time, so rebinding the module attribute (a tracing
+        wrapper, a test's patch) takes effect."""
         if self.sampler is None:
             raise ContractError("this ensemble has no single-matrix sampler")
+        if self.half_dimension:
+            if n % 2:
+                raise ContractError(f"{self.sampler} requires even ambient dimension, got {n}")
+            n //= 2
         return globals()[self.sampler](n, key)
+
+    def spectrum(self, n: int, key: StreamKey):
+        """The spectral measure of ``sample(n, key)``: eigenangles for a circle
+        row, eigenvalues for a line row."""
+        eig = eig_unitary_angles if self.domain == "circle" else eig_hermitian
+        return eig(self.sample(n, key))
 
 
 def symplectic_form(half_n: int) -> np.ndarray:
@@ -243,22 +259,6 @@ ENSEMBLES = {
     EnsembleTag.COMPRESSION: Ensemble("line", rate_slope_max=-0.25, kn_abscissa=True),
     EnsembleTag.RANDOMIZED_SUM: Ensemble("line"),
 }
-
-
-def sample_circle_ensemble(tag: EnsembleTag, n: int, key: StreamKey) -> UnitaryView:
-    """Sample one unitary-type ensemble member of ambient dimension n.
-
-    For SYMPLECTIC and CSE, n is the ambient (even) dimension.
-    """
-    tag = EnsembleTag(tag)
-    row = ENSEMBLES[tag]
-    if row.domain != "circle":
-        raise ContractError(f"{tag.value} is not a circle ensemble")
-    if row.half_dimension:
-        if n % 2 != 0:
-            raise ContractError(f"{tag.value} requires even ambient dimension, got {n}")
-        n //= 2
-    return row.sample(n, key)
 
 
 def sample_compression(n: int, k: int, key: StreamKey) -> HermitianView:

@@ -23,16 +23,15 @@ import numpy as np
 
 from .ensembles import (
     ENSEMBLES,
+    MAX_DIMENSION,
     EnsembleTag,
-    gue_wigner,
     haar_unitary,
     randomized_sum,
     randomized_sum_factors,
-    sample_circle_ensemble,
     sample_compression,
 )
 from .errors import ContractError
-from .matlin import eig_hermitian, eig_unitary_angles, hs_norm
+from .matlin import eig_hermitian, hs_norm
 from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
@@ -110,6 +109,9 @@ class ExperimentPlan:
                                 f"got {list(grid)}")
         if grid[0] < 1:
             raise ContractError(f"/n_grid: dimensions must be positive, got {list(grid)}")
+        if grid[-1] > MAX_DIMENSION:
+            raise ContractError(f"/n_grid: dimensions must be at most {MAX_DIMENSION}, "
+                                f"got {list(grid)}")
         replicates = _integer("replicates", self.replicates)
         if replicates < 2:
             raise ContractError(f"/replicates: need at least 2, got {replicates}")
@@ -199,7 +201,7 @@ class RateExperimentResult:
     records: tuple
     warnings: tuple = ()
     tails: tuple = ()  # TailEstimates per (n, t), when the plan sets t_grid
-    std_fit: RateFitResult | None = None  # std(d1) against n, when the plan sets t_grid
+    std_fit: RateFitResult | None = None  # std(d1) against n, for a t_grid plan; None if one is 0
     moments: tuple = ()  # MomentEstimates, when the plan sets moments_kmax
 
     @property
@@ -322,10 +324,12 @@ def _cell(task) -> dict:
     also gives ``weyl_violation`` from the same draw and eigensolve.
     """
     plan, n, r = task
-    tag = plan.ensemble
+    tag, row = plan.ensemble, ENSEMBLES[plan.ensemble]
     key = StreamKey(plan.seed, tag.value, n, r)
-    if ENSEMBLES[tag].domain == "circle":
-        measure = eig_unitary_angles(sample_circle_ensemble(tag, n, key))
+    if row.sampler is not None:
+        measure = row.spectrum(n, key)
+        if row.domain == "line":
+            return {"spectrum": measure}
         out = {"d1": w1_circle_uniform(measure)}
         if plan.moments_kmax:
             out["traces"] = [np.sum(np.exp(1j * k * measure.atoms))
@@ -333,8 +337,6 @@ def _cell(task) -> dict:
         return out
     if tag is EnsembleTag.COMPRESSION:
         return {"spectrum": eig_hermitian(sample_compression(n, plan.k_of(n), key))}
-    if tag is EnsembleTag.GUE_WIGNER:
-        return {"spectrum": eig_hermitian(gue_wigner(n, key))}
     a, b, u = randomized_sum_factors(n, key)
     out = {"spectrum": eig_hermitian(randomized_sum(a, b, u))}
     if r >= plan.replicates:
@@ -431,9 +433,9 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
     fit = std_fit = None
     if len(summaries) >= 3:
         fit = fit_loglog([(s.x, s.mean) for s in summaries])
-        # std(d1) can be 0 (every d1 at n = 1 is pi/2), which a fit refuses, so
-        # only the plans whose summary reports this fit compute it
-        if plan.t_grid:
+        # only the plans whose summary reports this fit compute it; std(d1) can
+        # be 0 (every d1 at n = 1 is pi/2), which a log-log fit refuses
+        if plan.t_grid and all(s.std > 0 for s in summaries):
             std_fit = fit_loglog([(s.n, s.std) for s in summaries])
     else:
         warnings.append("fewer than 3 grid points: rate fit omitted")
@@ -472,9 +474,7 @@ def run_identdist_experiment(n: int, replicates: int, seed: int,
              ExperimentPlan(ensemble_b, (n if n_b is None else n_b,), replicates, seed))
     if any(ENSEMBLES[p.ensemble].domain != "circle" for p in plans):
         raise ContractError("the coupling check compares circle ensembles")
-    cells = _parallel_map(_cell, [(p, p.n_grid[0], r) for p in plans for r in range(replicates)], 1)
-    xs = np.array([c["d1"] for c in cells[:replicates]])
-    ys = np.array([c["d1"] for c in cells[replicates:]])
+    xs, ys = (np.array([rec.value for rec in run_rate_experiment(p).records]) for p in plans)
     stat = two_sample_ks_statistic(xs, ys)
     crit = two_sample_ks_critical(xs.size, ys.size, level=0.01)
     return IdentDistResult(ks_statistic=stat, critical_value=crit,

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from speclab.cli import main as cli_main
-from speclab.ensembles import EnsembleTag, gue_wigner, sample_circle_ensemble
+from speclab.ensembles import ENSEMBLES, EnsembleTag, gue_wigner
 from speclab.experiments import (
     ExperimentPlan,
     run_identdist_experiment,
@@ -99,7 +99,7 @@ def test_criterion_04_mean_measure_uniform():
     for tag in (EnsembleTag.UNITARY, EnsembleTag.COE):
         pooled = np.concatenate([
             eig_unitary_angles(
-                sample_circle_ensemble(tag, 8, StreamKey(SEED, f"{tag.value}_pool", 8, r))
+                ENSEMBLES[tag].sample(8, StreamKey(SEED, f"{tag.value}_pool", 8, r))
             ).atoms
             for r in range(1000)
         ])

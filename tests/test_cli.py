@@ -16,6 +16,8 @@ from speclab import cli, ensembles, experiments
 from speclab.cli import main
 from speclab.ensembles import ENSEMBLES, EnsembleTag
 from speclab.experiments import ExperimentPlan, run_rate_experiment
+from speclab.measures import EmpiricalMeasureCircle
+from speclab.transport import w1_circle_uniform
 
 TWO_PI = 2 * np.pi
 
@@ -300,13 +302,13 @@ class TestExperiment:
     def test_moments_reuse_the_rate_samples(self, tmp_path, capsys, monkeypatch, t_grid):
         # one draw per (n, replicate) cell serves d1, the tails and the moments
         calls = []
-        sample = experiments.sample_circle_ensemble
+        sample = ensembles.haar_unitary
 
         def counted(*args):
             calls.append(args)
             return sample(*args)
 
-        monkeypatch.setattr(experiments, "sample_circle_ensemble", counted)
+        monkeypatch.setattr(ensembles, "haar_unitary", counted)
         plan = write_plan(tmp_path / "plan.json", n_grid=[4, 6, 8], replicates=5,
                           moments_kmax=3, t_grid=t_grid)
         outdir = tmp_path / "run"
@@ -412,6 +414,10 @@ class TestExperiment:
         ({"ensemble": "compression", "k_rule": "fixed:\u00b2"}, "/k_rule: unknown rule"),
         ({"ensemble": "unitary", "k_rule": "fixed:3"},
          "/k_rule: applies to compression plans only"),
+        # numpy refuses an array this large before allocating it, with a traceback
+        ({"ensemble": "unitary", "n_grid": [3037000500]}, "/n_grid: dimensions must be at most"),
+        ({"ensemble": "compression", "n_grid": [3037000500]},
+         "/n_grid: dimensions must be at most"),
     ])
     def test_plan_the_sampler_rejects_exits_2_before_sampling(self, tmp_path, capsys,
                                                               overrides, message):
@@ -428,7 +434,7 @@ class TestExperiment:
         def too_large(*args):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr(experiments, "sample_circle_ensemble", too_large)
+        monkeypatch.setattr(ensembles, "haar_unitary", too_large)
         plan = write_plan(tmp_path / "plan.json")
         code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
                                  "--out", str(tmp_path / "run"))
@@ -445,7 +451,7 @@ class TestExperiment:
         def too_large(*args):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr(experiments, "sample_circle_ensemble", too_large)
+        monkeypatch.setattr(ensembles, "haar_unitary", too_large)
         code, _, err = run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir),
                                "--seed", "5")
         assert code == 1 and err.startswith("error: out of memory")
@@ -513,6 +519,20 @@ class TestExperiment:
         assert all(isinstance(m["zero_consistent"], bool) for m in moments)
         assert run_cli(capsys, "manifest-check", str(outdir))[0] == 0
 
+    def test_zero_std_leaves_std_fit_null(self, tmp_path, capsys):
+        # every d1 at n = 1 is pi/2, and at n = 2 the two replicates tie
+        plan = write_plan(tmp_path / "plan.json", ensemble="orthogonal", n_grid=[1, 2, 4],
+                          replicates=2, seed=0, t_grid=[0.0])
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                               "--out", str(outdir))
+        assert code == 0, err
+        concentration = json.loads((outdir / "summary.json").read_text())["concentration"]
+        assert [s["std"] == 0 for s in concentration["std_by_n"]] == [True, True, False]
+        assert concentration["std_fit"] is None
+        assert len(concentration["tails"]) == 3
+        assert run_cli(capsys, "manifest-check", str(outdir))[0] == 0
+
     def test_summary_written(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json")
         outdir = tmp_path / "run"
@@ -521,6 +541,36 @@ class TestExperiment:
         assert summary["rate"]["fit"]["slope"] < 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert len(manifest["records_sha256"]) == 64
+
+
+class TestOneDrawPath:
+    @pytest.mark.parametrize("ensemble,sample_n,grid_n", [
+        ("unitary", 8, 8), ("so", 5, 5), ("symplectic", 4, 8), ("cse", 3, 6),
+    ])
+    def test_sample_row_is_the_experiment_cell(self, tmp_path, capsys, ensemble,
+                                               sample_n, grid_n):
+        # row r of a sample and cell (n, r) of an experiment with the same seed
+        # and ambient n are one draw, so the sampled angles give the cell's d1
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(capsys, "sample", "--ensemble", ensemble, "--n", str(sample_n),
+                               "--count", "3", "--seed", "11", "--out", str(out))
+        assert code == 0, err
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        plan = write_plan(tmp_path / "plan.json", ensemble=ensemble, n_grid=[grid_n],
+                          replicates=3, seed=11)
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir))
+        assert code == 0, err
+        with open(outdir / "records.csv", newline="", encoding="utf-8") as fh:
+            records = list(csv.DictReader(fh))
+        assert [(int(r["n"]), int(r["replicate"])) for r in records] == [(grid_n, r)
+                                                                      for r in range(3)]
+        for row, record in zip(rows, records):
+            angles = np.array([float(v) for v in row[1:]])
+            assert angles.size == grid_n
+            d1 = w1_circle_uniform(EmpiricalMeasureCircle(angles))
+            assert d1 == float(record["value"])
 
 
 FIT_KEYS = ["intercept", "n_used", "r_squared", "slope", "slope_stderr"]
@@ -711,6 +761,19 @@ class TestNoTraceback:
                 reference, reference)
             argv = ["distance", "--input", paths[0], "--reference", ref, "--p", p]
             assert exit_code(argv) in (0, 1, 2)
+
+    @pytest.mark.parametrize("ensemble,n", [
+        ("unitary", "3037000500"), ("orthogonal", "3037000500"), ("cse", "2000000000"),
+        ("gue_wigner", "100000000000000000000"),
+    ])
+    def test_huge_sample_dimension_exits_2(self, tmp_path, capsys, ensemble, n):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(capsys, "sample", "--ensemble", ensemble, "--n", n,
+                                    "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: --n {n} gives ambient dimension ")
+        assert len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_sample_manifest(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

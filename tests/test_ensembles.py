@@ -18,7 +18,6 @@ from speclab.ensembles import (
     haar_unitary,
     randomized_sum,
     randomized_sum_factors,
-    sample_circle_ensemble,
     sample_coe,
     sample_cse,
     symplectic_form,
@@ -328,7 +327,7 @@ class TestGroupMembership:
         for tag in CIRCLE_TAGS:
             amb = n + 1 if (tag in {EnsembleTag.SYMPLECTIC, EnsembleTag.CSE} and n % 2) else n
             for r in range(5):
-                u = sample_circle_ensemble(tag, amb, key(f"member_{tag.value}", amb, r))
+                u = ENSEMBLES[tag].sample(amb, key(f"member_{tag.value}", amb, r))
                 defect = hs_norm(u.entries @ u.entries.conj().T - np.eye(amb))
                 assert defect <= 1e-10 * np.sqrt(amb)
 
@@ -352,12 +351,35 @@ class TestEnsembleTable:
         assert list(ENSEMBLES) == list(EnsembleTag)
 
     @pytest.mark.parametrize("tag,n,message", [
-        ("gue_wigner", 4, "gue_wigner is not a circle ensemble"),
         ("symplectic", 5, "symplectic requires even ambient dimension, got 5"),
+        ("cse", 7, "cse requires even ambient dimension, got 7"),
     ])
     def test_circle_sampler_refuses(self, tag, n, message):
         with pytest.raises(ContractError, match=message):
-            sample_circle_ensemble(tag, n, key(tag, n))
+            ENSEMBLES[EnsembleTag(tag)].sample(n, key(tag, n))
+
+    @pytest.mark.parametrize("tag", [t for t, row in ENSEMBLES.items() if row.sampler],
+                             ids=lambda t: t.value)
+    def test_row_draws_at_the_ambient_dimension(self, tag):
+        # the oracle: the sampler function called directly, with half of n for Sp and CSE
+        sampler, half = {
+            EnsembleTag.ORTHOGONAL: (haar_orthogonal, False),
+            EnsembleTag.SO: (haar_so, False),
+            EnsembleTag.SO_MINUS: (haar_so_minus, False),
+            EnsembleTag.UNITARY: (haar_unitary, False),
+            EnsembleTag.SU: (haar_su, False),
+            EnsembleTag.SYMPLECTIC: (haar_symplectic, True),
+            EnsembleTag.COE: (sample_coe, False),
+            EnsembleTag.CSE: (sample_cse, True),
+            EnsembleTag.GUE_WIGNER: (gue_wigner, False),
+        }[tag]
+        eig = eig_hermitian if tag is EnsembleTag.GUE_WIGNER else eig_unitary_angles
+        row, n = ENSEMBLES[tag], 6
+        k = key(f"row_{tag.value}", n, 2)
+        draw = row.sample(n, k)
+        assert draw.entries.shape == (n, n)
+        assert np.array_equal(draw.entries, sampler(n // 2 if half else n, k).entries)
+        assert np.array_equal(row.spectrum(n, k).atoms, eig(draw).atoms)
 
 
 class TestDeterminismAcrossSamplers:
@@ -365,6 +387,6 @@ class TestDeterminismAcrossSamplers:
     def test_replay(self, tag):
         n = 8
         k = key(tag.value, n, 3)
-        u1 = sample_circle_ensemble(tag, n, k)
-        u2 = sample_circle_ensemble(tag, n, k)
+        u1 = ENSEMBLES[tag].sample(n, k)
+        u2 = ENSEMBLES[tag].sample(n, k)
         assert np.array_equal(u1.entries, u2.entries)

@@ -21,7 +21,7 @@ recorder = tracer.install(alloc=False)
 import speclab.ensembles
 from speclab.rng import StreamKey
 for tag in ("symplectic", "unitary"):
-    speclab.ensembles.sample_circle_ensemble(tag, 4, StreamKey(1, tag, 4))
+    speclab.ensembles.ENSEMBLES[speclab.ensembles.EnsembleTag(tag)].sample(4, StreamKey(1, tag, 4))
 source = inspect.getsource(layers.per_layer)
 read = {
     "layers.CHECKS": list(layers.CHECKS),
