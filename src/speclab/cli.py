@@ -27,9 +27,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag, symplectic_form
+from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag
 from .errors import SpeclabError, ContractError
-from .matlin import det_lu, hs_norm
+from .matlin import hs_norm
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from .rng import StreamKey
 from .transport import (
@@ -162,6 +162,8 @@ def _read_spectrum_csv(path: str):
                     raise ContractError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise ContractError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # a field over csv.field_size_limit(), a stray NUL
+        raise ContractError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not UTF-8 text: {exc}") from exc
     if not values:
@@ -246,8 +248,9 @@ def cmd_experiment(args) -> int:
 
     try:
         plan = load_plan(args.plan, seed_override=args.seed)
-    # ValueError: not UTF-8, not JSON, or an integer longer than Python converts
-    except (ContractError, OSError, ValueError) as exc:
+    # ValueError: not UTF-8, not JSON, or an integer longer than Python converts;
+    # RecursionError: arrays or objects nested deeper than json.load descends
+    except (ContractError, OSError, ValueError, RecursionError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -310,7 +313,7 @@ def cmd_manifest_check(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ContractError, ValueError) as exc:  # ValueError: as for a plan file
+    except (ContractError, ValueError, RecursionError) as exc:  # as for a plan file
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print("manifest check OK")
@@ -344,6 +347,10 @@ def _verify_transport_oracle(trials: int, seed: int) -> int:
 
 
 def _verify_group_membership(trials: int, seed: int) -> int:
+    """Draw from every circle row and count the draws its sampler refuses:
+    each certifies its group (unitarity in ``UnitaryView``, the determinant
+    for SU, SO and SO-, U J U^T = J for Sp).  COE symmetry, which no sampler
+    certifies, is checked here."""
     bad = 0
     dims = [2, 3, 8, 17, 64]
     per_dim = max(1, trials // len(dims))
@@ -355,25 +362,12 @@ def _verify_group_membership(trials: int, seed: int) -> int:
                 amb = n + 1 if (row.half_dimension and n % 2) else n
                 key = StreamKey(seed, f"verify/{tag.value}", amb, r)
                 try:
-                    u = row.sample(amb, key)
+                    m = row.sample(amb, key).entries
                 except SpeclabError:
                     bad += 1
                     continue
-                m = u.entries
-                if hs_norm(m @ m.conj().T - np.eye(amb)) > 1e-10 * np.sqrt(amb):
-                    bad += 1
-                if tag is EnsembleTag.SU and abs(det_lu(u) - 1) > 1e-8:
-                    bad += 1
-                if tag is EnsembleTag.SO and abs(det_lu(u) - 1) > 1e-8:
-                    bad += 1
-                if tag is EnsembleTag.SO_MINUS and abs(det_lu(u) + 1) > 1e-8:
-                    bad += 1
                 if tag is EnsembleTag.COE and hs_norm(m - m.T) > 1e-10 * np.sqrt(amb):
                     bad += 1
-                if tag is EnsembleTag.SYMPLECTIC:
-                    j = symplectic_form(amb // 2)
-                    if hs_norm(m @ j @ m.T - j) > 1e-8 * np.sqrt(amb // 2):
-                        bad += 1
     return bad
 
 

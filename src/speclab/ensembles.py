@@ -75,14 +75,6 @@ class Ensemble:
         return eig(self.sample(n, key))
 
 
-def symplectic_form(half_n: int) -> np.ndarray:
-    """The fixed 2n-by-2n block-diagonal skew form J with blocks [[0,-1],[1,0]]."""
-    if half_n < 1:
-        raise ContractError("half dimension must be at least 1")
-    block = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return np.kron(np.eye(half_n), block)
-
-
 def _j_times(m: np.ndarray) -> np.ndarray:
     """J @ m for the symplectic form J of matching size: a strided swap of
     row pairs with a sign, bitwise equal to the dense product."""

@@ -1,8 +1,7 @@
 """Declarative Monte-Carlo experiments.  One run of a plan gives one
 ``RateExperimentResult``: the mean-distance rate, the concentration tails and
 the trace-moment estimates, rendered by its ``summary()`` as summary.json.
-Beside it sit the U(n)/SU(n) coupling check and the Lipschitz/containment
-inequality suite.
+Beside it sits the Lipschitz/containment inequality suite.
 
 Every experiment maps one cell kernel over its (n, replicate) stream keys,
 in one process pool at most, and reduces the cells in key order, so results
@@ -249,14 +248,6 @@ class MomentEstimate:
     bounded_consistent: bool
 
 
-@dataclass(frozen=True)
-class IdentDistResult:
-    ks_statistic: float
-    critical_value: float
-    accept: bool
-    samples_per_side: int
-
-
 def fit_loglog(points) -> RateFitResult:
     """Least-squares fit of log y against log x."""
     pts = [(float(x), float(y)) for x, y in points]
@@ -441,44 +432,6 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
         warnings.append("fewer than 3 grid points: rate fit omitted")
     return RateExperimentResult(plan, tuple(summaries), fit, tuple(records), tuple(warnings),
                                 tuple(tails), std_fit, tuple(moments))
-
-
-def two_sample_ks_statistic(x, y) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|, computed as
-    ``scipy.stats.ks_2samp`` does: both empirical CDFs are evaluated at every
-    point of the merged data, so ties are counted on both sides."""
-    x, y = np.sort(x), np.sort(y)
-    merged = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, merged, side="right") / x.size
-    cdf_y = np.searchsorted(y, merged, side="right") / y.size
-    return float(np.max(np.abs(cdf_x - cdf_y)))
-
-
-def two_sample_ks_critical(n1: int, n2: int, level: float = 0.01) -> float:
-    """Asymptotic two-sample Kolmogorov-Smirnov critical value."""
-    c = math.sqrt(-math.log(level / 2.0) / 2.0)
-    return c * math.sqrt((n1 + n2) / (n1 * n2))
-
-
-def run_identdist_experiment(n: int, replicates: int, seed: int,
-                             ensemble_a: EnsembleTag = EnsembleTag.UNITARY,
-                             ensemble_b: EnsembleTag = EnsembleTag.SU,
-                             n_b: int | None = None) -> IdentDistResult:
-    """Two-sample KS test between d1(mu_U, nu) samples from two ensembles.
-
-    With the defaults this checks that U(n) and SU(n) give identically
-    distributed distances; an accept at level 0.01 under a frozen seed is
-    the pass condition.
-    """
-    plans = (ExperimentPlan(ensemble_a, (n,), replicates, seed),
-             ExperimentPlan(ensemble_b, (n if n_b is None else n_b,), replicates, seed))
-    if any(ENSEMBLES[p.ensemble].domain != "circle" for p in plans):
-        raise ContractError("the coupling check compares circle ensembles")
-    xs, ys = (np.array([rec.value for rec in run_rate_experiment(p).records]) for p in plans)
-    stat = two_sample_ks_statistic(xs, ys)
-    crit = two_sample_ks_critical(xs.size, ys.size, level=0.01)
-    return IdentDistResult(ks_statistic=stat, critical_value=crit,
-                           accept=stat <= crit, samples_per_side=replicates)
 
 
 @dataclass(frozen=True)

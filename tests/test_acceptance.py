@@ -17,7 +17,6 @@ from speclab.cli import main as cli_main
 from speclab.ensembles import ENSEMBLES, EnsembleTag, gue_wigner
 from speclab.experiments import (
     ExperimentPlan,
-    run_identdist_experiment,
     run_lipschitz_suite,
     run_rate_experiment,
 )
@@ -130,10 +129,19 @@ def test_criterion_06_concentration_scaling():
 
 
 def test_criterion_07_coupling_identdist():
-    matched = run_identdist_experiment(16, 1000, SEED)
-    control = run_identdist_experiment(16, 1000, SEED,
-                                       ensemble_b=EnsembleTag.UNITARY, n_b=32)
-    report(7, "coupling identical distribution", matched.accept and not control.accept)
+    # U(n) and SU(n) give identically distributed d1: a two-sample KS test at
+    # level 0.01 accepts U(16) against SU(16) and rejects U(16) against U(32)
+    reps = 1000
+    critical = np.sqrt(-np.log(0.005) / 2) * np.sqrt(2 / reps)
+
+    def d1(tag, n):
+        plan = ExperimentPlan(tag, (n,), reps, SEED)
+        return [rec.value for rec in run_rate_experiment(plan).records]
+
+    unitary = d1(EnsembleTag.UNITARY, 16)
+    matched = stats.ks_2samp(unitary, d1(EnsembleTag.SU, 16), method="asymp").statistic
+    control = stats.ks_2samp(unitary, d1(EnsembleTag.UNITARY, 32), method="asymp").statistic
+    report(7, "coupling identical distribution", matched <= critical < control)
 
 
 def test_criterion_08_compression_rate():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from speclab import cli, ensembles, experiments
 from speclab.cli import main
 from speclab.ensembles import ENSEMBLES, EnsembleTag
+from speclab.errors import NumericalFailureError
 from speclab.experiments import ExperimentPlan, run_rate_experiment
 from speclab.measures import EmpiricalMeasureCircle
 from speclab.transport import w1_circle_uniform
@@ -657,6 +658,10 @@ class TestSummaryOracle:
             assert rate["warnings"] == ["fewer than 3 grid points: rate fit omitted"]
 
 
+def refuse_to_sample(n, key):
+    raise NumericalFailureError("determinant not within tolerance")
+
+
 class TestVerify:
     def test_transport_oracle_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "transport-oracle",
@@ -674,6 +679,17 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "group-membership",
                                "--trials", "20", "--seed", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("sampler,fake", [
+        ("haar_so", refuse_to_sample),  # a sampler whose certificate fails
+        ("sample_coe", ensembles.haar_unitary),  # unitary but not symmetric
+    ], ids=["so-certificate-fails", "coe-not-symmetric"])
+    def test_group_membership_suite_counts_failures(self, capsys, monkeypatch, sampler, fake):
+        # rows look their sampler up by name at call time, so the patch reaches them
+        monkeypatch.setattr(ensembles, sampler, fake)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "group-membership",
+                               "--trials", "20", "--seed", "3")
+        assert (code, out) == (1, "group-membership: 20 violations\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -808,7 +824,11 @@ class TestNoTraceback:
     @pytest.mark.parametrize("payload", [b"\xff\xfe{}", b"not json", b"[1, 2]", b"\n",
                                          b"replicate\n0\n",
                                          pytest.param(b"[1" + b"0" * 5000 + b"]",
-                                                      id="integer-of-5001-digits")])
+                                                      id="integer-of-5001-digits"),
+                                         pytest.param(b"[" * 100000 + b"]" * 100000,
+                                                      id="json-nested-100000-deep"),
+                                         pytest.param(b"replicate,angle_0\n0," + b"0" * 200000
+                                                      + b".5\n", id="csv-field-over-limit")])
     def test_file_not_utf8_or_not_the_expected_format(self, tmp_path, capsys, payload):
         for name in ("input", "manifest.json"):
             (tmp_path / name).write_bytes(payload)

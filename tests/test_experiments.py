@@ -15,11 +15,8 @@ from speclab.experiments import (
     ExperimentPlan,
     _d1_to_pooled,
     fit_loglog,
-    run_identdist_experiment,
     run_lipschitz_suite,
     run_rate_experiment,
-    two_sample_ks_critical,
-    two_sample_ks_statistic,
     wilson_interval,
 )
 from speclab.matlin import eig_hermitian
@@ -318,40 +315,6 @@ class TestMoments:
         plan = ExperimentPlan(EnsembleTag.UNITARY, (4,), 10, SEED)
         with pytest.raises(ContractError):
             run_rate_experiment(replace(plan, moments_kmax=4))
-
-
-class TestIdentDist:
-    def test_critical_value_formula(self):
-        # asymptotic two-sample threshold at level 0.01
-        expected = np.sqrt(-0.5 * np.log(0.005)) * np.sqrt(2 / 300)
-        assert two_sample_ks_critical(300, 300) == pytest.approx(expected)
-
-    # small integers force ties within and across the samples
-    SAMPLE = st.lists(st.integers(-3, 3) | st.floats(-10, 10), min_size=1, max_size=40)
-
-    # scipy's p-value for one-point samples divides by zero; only D is compared
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @given(x=SAMPLE, y=SAMPLE)
-    @settings(max_examples=300, deadline=None)
-    def test_statistic_is_scipys(self, x, y):
-        from scipy import stats
-
-        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-        assert two_sample_ks_statistic(x, y) == stats.ks_2samp(x, y, method="asymp").statistic
-
-    def test_matched_accepts(self):
-        res = run_identdist_experiment(16, 400, SEED)
-        assert res.accept
-        assert res.samples_per_side == 400
-
-    def test_line_ensembles_rejected(self):
-        with pytest.raises(ContractError, match="circle ensembles"):
-            run_identdist_experiment(8, 10, SEED, ensemble_b=EnsembleTag.GUE_WIGNER)
-
-    def test_mismatched_rejects(self):
-        res = run_identdist_experiment(16, 400, SEED,
-                                       ensemble_b=EnsembleTag.UNITARY, n_b=32)
-        assert not res.accept
 
 
 class TestLipschitzSuite:

@@ -1,5 +1,7 @@
 """The import layering the README's Library sketch states: each module imports
-only the modules above it in the table, plus ``errors`` and ``rng``."""
+only the modules above it in the table, plus ``errors`` and ``rng``.  And no
+library code that only the tests reach: every top-level definition is reached
+from ``cli.main`` or from module-level code."""
 
 import ast
 import os
@@ -54,3 +56,46 @@ def test_measures_is_the_bottom_layer():
 @pytest.mark.parametrize("module", sorted(BASE))
 def test_errors_and_rng_import_no_speclab_module(module):
     assert speclab_imports(module) <= {"errors"}
+
+
+#: top-level definitions that only the tests reach, each with its reason
+TEST_ONLY = {
+    # the exact chordal W1 that test_chordal_geodesic_sandwich computes with
+    # assignment_oracle, to check the chordal bracket ``distance`` prints
+    "chordal_distance",
+}
+
+
+def referenced_names(node) -> set:
+    """Every name a node may reach: Name ids, attribute names, and string
+    constants, since the ENSEMBLES rows name their samplers by string."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            | {n.value for n in ast.walk(node)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)})
+
+
+def test_every_top_level_definition_is_reached():
+    definitions, module_code = {}, []
+    for f in sorted(os.listdir(SRC)):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, f), encoding="utf-8") as fh:
+            for node in ast.parse(fh.read()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    definitions.setdefault(node.name, []).append(node)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        definitions.setdefault(target.id, []).append(node)
+                else:
+                    module_code.append(node)
+    # a name-keyed walk: names shared across modules can only hide a finding
+    reached = set()
+    frontier = {"main"}.union(*map(referenced_names, module_code))
+    while frontier:
+        name = frontier.pop()
+        if name in definitions and name not in reached:
+            reached.add(name)
+            frontier.update(*map(referenced_names, definitions[name]))
+    assert sorted(set(definitions) - reached) == sorted(TEST_ONLY)
