@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag
 from .errors import SpeclabError, ContractError
-from .matlin import hs_norm
+from .matlin import hold_heap, hs_norm
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from .rng import StreamKey
 from .transport import (
@@ -51,6 +52,10 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 FLOAT_FMT = "%.17g"
+
+# the BLAS and OpenMP thread counts a run inherits; manifest.json records those set
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _fmt(x: float) -> str:
@@ -243,6 +248,29 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
+def _environment(heap_held: bool) -> dict:
+    """The manifest's record of what ran a plan: the Python, numpy and scipy
+    versions, the thread variables set, the usable CPUs and whether the heap
+    is held.  scipy's version comes from its installed metadata, so scipy is
+    not imported."""
+    from importlib import metadata
+
+    from .experiments import usable_cpus
+
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy_version,
+        "threads": {name: os.environ[name] for name in THREAD_VARS if name in os.environ},
+        "nproc": usable_cpus(),
+        "heap_held": heap_held,
+    }
+
+
 def cmd_experiment(args) -> int:
     from .experiments import run_rate_experiment
 
@@ -283,6 +311,7 @@ def cmd_experiment(args) -> int:
             "record_count": len(rate.records),
             "records_sha256": hashlib.sha256(csv_payload.encode("utf-8")).hexdigest(),
             "summary_sha256": summary_sha256,
+            "environment": _environment(args.heap_held),
         }
         _write_json(manifest_path, manifest)
     except OSError as exc:
@@ -453,6 +482,9 @@ def main(argv=None) -> int:
         if (value := getattr(args, flag, 1)) < 1:
             print(f"error: --{flag} must be at least 1, got {value}", file=sys.stderr)
             return EXIT_USAGE
+    # keep the pages each cell's matrices fault in for the next cell; pool
+    # workers hold their own heaps through the pool's initializer
+    args.heap_held = hold_heap()
     try:
         return args.func(args)
     except SpeclabError as exc:

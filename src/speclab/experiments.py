@@ -30,7 +30,7 @@ from .ensembles import (
     sample_compression,
 )
 from .errors import ContractError
-from .matlin import eig_hermitian, hs_norm
+from .matlin import eig_hermitian, hold_heap, hs_norm
 from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
@@ -336,12 +336,21 @@ def _cell(task) -> dict:
     return out
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parallel_map(fn, items, workers: int):
-    # the pool forks all its workers at once, so never ask for more than the CPUs
-    workers = min(workers, os.cpu_count() or 1)
+    # the pool starts all its workers at once, so never ask for more than the CPUs;
+    # each worker holds its heap as the CLI's own process does, whatever the start method
+    workers = min(workers, usable_cpus())
     if workers <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool_:
+    with ProcessPoolExecutor(max_workers=workers, initializer=hold_heap) as pool_:
         return list(pool_.map(fn, items, chunksize=16))
 
 

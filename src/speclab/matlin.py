@@ -13,9 +13,14 @@ so one linear solve and one Hermitian eigenvalue solve give every
 eigenangle theta.  The results are cross-checked: H must be Hermitian to
 roundoff (which holds exactly when U is unitary) and the angle product must
 reproduce det(U) computed by LU.
+
+``hold_heap`` keeps the pages these matrices are built in from going back to
+the OS between cells; it changes no number.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -200,3 +205,41 @@ def eig_unitary_angles(u: UnitaryView) -> EmpiricalMeasureCircle:
             f"angle product disagrees with det(U) by {abs(prod - det):.3e}"
         )
     return EmpiricalMeasureCircle(angles)
+
+
+# glibc's mallopt parameters.  By default glibc serves a block of 128 KiB or
+# more from its own mmap, raises that threshold to each such block freed, and
+# trims the heap top once it holds twice the threshold free: after every cell
+# the 256 KiB complex 128 x 128 temporaries go back to the OS, and the next
+# cell faults them in again.  Setting either threshold turns the dynamic
+# adjustment off, so both are set: a trim threshold alone leaves 256 KiB
+# blocks on mmap.  32 MiB is the largest mmap threshold 64-bit glibc accepts.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+TRIM_THRESHOLD_BYTES = 64 * 2**20
+
+
+def hold_heap() -> bool:
+    """Keep freed memory in this process's heap rather than return it to the
+    OS, so each cell reuses the pages the cells before it faulted in.
+
+    Sets glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB,
+    and returns whether both calls took effect.  Anywhere but glibc it does
+    nothing and returns False.  The CLI's entry point calls it, and the
+    process pool runs it as each worker's initializer.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+    if not (libc or "").startswith("glibc"):
+        return False
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    done = [mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)]
+    return done == [1, 1]

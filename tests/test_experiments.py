@@ -19,7 +19,7 @@ from speclab.experiments import (
     run_rate_experiment,
     wilson_interval,
 )
-from speclab.matlin import eig_hermitian
+from speclab.matlin import eig_hermitian, hold_heap
 from speclab.measures import pool
 from speclab.rng import StreamKey
 
@@ -176,12 +176,15 @@ class TestRateExperiment:
 
     @pytest.mark.parametrize("cpus,pool_sizes", [(3, [3]), (1, []), (None, [])])
     def test_worker_count_is_bounded_by_the_cpus(self, monkeypatch, cpus, pool_sizes):
-        # the pool forks every worker up front, so --workers 100000 must not
-        # reach it; a recording executor maps serially, so nothing is forked
+        # the pool starts every worker up front, so --workers 100000 must not
+        # reach it; a recording executor maps serially, so nothing is started.
+        # The bound is the affinity set, not the machine's 64 CPUs; cpus=None
+        # is a platform with no affinity call whose cpu_count() is None
         sizes = []
 
         class SerialExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
+                assert initializer is hold_heap
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -196,7 +199,13 @@ class TestRateExperiment:
         plan = ExperimentPlan(EnsembleTag.UNITARY, (4, 8), 3, SEED)
         serial = run_rate_experiment(plan, workers=1)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
         assert run_rate_experiment(plan, workers=100_000).records == serial.records
         assert sizes == pool_sizes
 

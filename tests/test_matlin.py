@@ -279,3 +279,16 @@ class TestCayleyEdgeCases:
             forged.dim = forged.entries.shape[0]
             with pytest.raises((NumericalFailureError, ContractError)):
                 eig_unitary_angles(forged)
+
+
+def unrecognized(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [lambda name: None, lambda name: "musl 1.2",
+                                     unrecognized])
+def test_hold_heap_does_nothing_off_glibc(monkeypatch, confstr):
+    # a C library that is not glibc, or none that names itself, gets no mallopt call
+    monkeypatch.setattr(matlin.os, "confstr", confstr)
+    monkeypatch.setattr(matlin, "M_MMAP_THRESHOLD", None)  # a call would raise
+    assert matlin.hold_heap() is False
