@@ -13,7 +13,9 @@ for small n through the assignment oracle.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 
 import numpy as np
 
@@ -148,39 +150,70 @@ def w1_circle_pair(m1: EmpiricalMeasureCircle, m2: EmpiricalMeasureCircle) -> fl
     return float(np.sum(lengths * np.abs(g - c)))
 
 
-def w1_line_vs_cdf(m: EmpiricalMeasureLine, ref_cdf, support=(-np.inf, np.inf)) -> float:
+@functools.cache
+def _load_qagse():
+    """QUADPACK's ``qagse`` (Piessens et al., 1983) from scipy's compiled
+    ``scipy.integrate._quadpack``, loaded without running the package's
+    ``__init__``: that imports scipy.optimize, scipy.special and the ODE
+    solvers, about 0.6 s that quadrature never uses."""
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.integrate._quadpack", [os.path.join(scipy.__path__[0], "integrate")])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} at {scipy.__path__[0]} has no "
+                          "compiled scipy.integrate._quadpack extension")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._qagse
+
+
+def _quad(f, a: float, b: float) -> float:
+    """Integral of f over a finite [a, b], a < b, by ``qagse`` with the
+    arguments ``scipy.integrate.quad(f, a, b, limit=200, epsabs=CDF_QUAD_TOL)``
+    passes it (1.49e-8 is quad's default epsrel), so every node, subdivision
+    and returned float is quad's."""
+    value, _, ier = _load_qagse()(f, a, b, (), 0, CDF_QUAD_TOL, 1.49e-8, 200)
+    if ier:
+        # quad warns for ier 1-5 with IntegrationWarning, which lives in the
+        # scipy.integrate package this route does not import
+        warnings.warn(f"QUADPACK qagse stopped with ier = {ier} on [{a:.17g}, {b:.17g}]; "
+                      "the integral may miss its tolerance", UserWarning, stacklevel=3)
+    return value
+
+
+def w1_line_vs_cdf(m: EmpiricalMeasureLine, ref_cdf, support: tuple[float, float]) -> float:
     """W1 between an empirical line measure and a continuous reference CDF,
     via the identity W1 = integral of |F_m - F_ref|.
 
-    One adaptive ``quad`` per segment between atoms, so ``ref_cdf`` is called
-    on one Python float per quadrature node."""
-    from scipy import integrate
-
+    ``support`` is a finite interval (lo, hi), lo < hi, outside which the
+    reference has no mass.  One adaptive QUADPACK ``qagse`` per segment
+    between atoms, so ``ref_cdf`` is called on one Python float per
+    quadrature node."""
+    lo, hi = support
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ContractError(f"support must be a finite interval lo < hi, got {support!r}")
     atoms = m.atoms
     n = atoms.size
-    lo, hi = support
     lo = min(lo, atoms[0])
     hi = max(hi, atoms[-1])
     total = 0.0
     # left tail: F_m = 0
     if lo < atoms[0]:
-        val, _ = integrate.quad(ref_cdf, lo, atoms[0], limit=200, epsabs=CDF_QUAD_TOL)
-        total += val
+        total += _quad(ref_cdf, lo, atoms[0])
     # interior segments: F_m = k/n is constant
     for k in range(1, n):
         a, b = atoms[k - 1], atoms[k]
         if b > a:
             level = k / n
-            val, _ = integrate.quad(
-                lambda x: abs(level - ref_cdf(x)), a, b, limit=200, epsabs=CDF_QUAD_TOL
-            )
-            total += val
+            total += _quad(lambda x: abs(level - ref_cdf(x)), a, b)
     # right tail: F_m = 1
     if hi > atoms[-1]:
-        val, _ = integrate.quad(
-            lambda x: abs(1.0 - ref_cdf(x)), atoms[-1], hi, limit=200, epsabs=CDF_QUAD_TOL
-        )
-        total += val
+        total += _quad(lambda x: abs(1.0 - ref_cdf(x)), atoms[-1], hi)
     if not np.isfinite(total):
         raise ContractError("reference CDF is not integrable against the measure")
     return float(total)

@@ -891,6 +891,12 @@ IMPORT_GUARD = textwrap.dedent("""
             records.append(fh.read())
     assert records[0] == records[1]
     loaded["experiment"] = modules()
+    # last: sys.modules only grows, and this is the one command that loads scipy
+    assert cli.main(["sample", "--ensemble", "gue_wigner", "--n", "8", "--count", "2",
+                     "--out", os.path.join(out, "g.csv")]) == 0
+    assert cli.main(["distance", "--input", os.path.join(out, "g.csv"),
+                     "--reference", "semicircle"]) == 0
+    loaded["distance-semicircle"] = modules()
     print(json.dumps(loaded))
 """)
 
@@ -898,7 +904,8 @@ IMPORT_GUARD = textwrap.dedent("""
 @pytest.fixture(scope="module")
 def modules_loaded_by_command(tmp_path_factory):
     """The watched modules in sys.modules after each command of one fresh
-    interpreter: import, sample, distance, manifest-check, then experiment."""
+    interpreter: import, sample, distance, manifest-check, experiment, then
+    distance --reference semicircle."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -912,9 +919,22 @@ def modules_loaded_by_command(tmp_path_factory):
 def test_cli_commands_load_no_scipy(modules_loaded_by_command):
     # scipy costs about a second to import; commands that never reach
     # quadrature, the assignment oracle or the KS test must not pay for it
-    assert {command: loaded["scipy"] for command, loaded
-            in modules_loaded_by_command.items()} == {
+    scipy = {command: loaded["scipy"] for command, loaded
+             in modules_loaded_by_command.items()}
+    scipy.pop("distance-semicircle")
+    assert scipy == {
         "import": [], "sample": [], "distance": [], "manifest-check": [], "experiment": []}
+
+
+def test_semicircle_distance_loads_only_the_quadpack_extension(modules_loaded_by_command):
+    # scipy.integrate's __init__ imports scipy.optimize, scipy.special and the
+    # ODE solvers, about 0.6 s; quadrature needs only the compiled QUADPACK,
+    # which registers itself under its dotted name
+    loaded = modules_loaded_by_command["distance-semicircle"]["scipy"]
+    heavy = [m for m in loaded
+             if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"],
+                                     ["scipy", "special"])]
+    assert heavy == ["scipy.integrate._quadpack"]
 
 
 def test_one_shot_commands_load_no_experiment_stack(modules_loaded_by_command):
@@ -923,6 +943,7 @@ def test_one_shot_commands_load_no_experiment_stack(modules_loaded_by_command):
     stack = {command: loaded["experiment_stack"] for command, loaded
              in modules_loaded_by_command.items()}
     assert "speclab.experiments" in stack.pop("experiment")
+    stack.pop("distance-semicircle")  # runs after experiment
     assert stack == {"import": [], "sample": [], "distance": [], "manifest-check": []}
 
 

@@ -1,3 +1,10 @@
+import inspect
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +29,9 @@ from speclab.transport import (
 )
 
 TWO_PI = 2 * np.pi
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 
 class TestWpLine:
@@ -374,6 +384,91 @@ class TestLineVsCdf:
         ])
         d = w1_line_vs_cdf(EmpiricalMeasureLine(atoms), semicircle_cdf, support=(-2, 2))
         assert abs(d - 0.005361721964526397) <= 1e-12
+
+    @pytest.mark.parametrize("support", [(-np.inf, 2.0), (-2.0, np.inf), (-np.inf, np.inf),
+                                         (2.0, -2.0), (1.0, 1.0), (np.nan, 2.0)])
+    def test_support_must_be_a_finite_interval(self, support):
+        # an infinite end would need QUADPACK's qagie, which this route never loads
+        with pytest.raises(ContractError):
+            w1_line_vs_cdf(EmpiricalMeasureLine([0.0]), semicircle_cdf, support)
+
+    @given(
+        atoms=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                 st.sampled_from([-2.5, -2.0, -0.5, 0.0, 1.0, 2.0, 2.5])),
+                       min_size=1, max_size=40),
+        support=st.sampled_from([(-2, 2), (-2.0, 2.0), (-3.0, 2.5)]),
+    )
+    @example(atoms=[0.0], support=(-2, 2))
+    @example(atoms=[1.0, 1.0, 1.0], support=(-2, 2))
+    @example(atoms=[-2.5, 2.5, 2.5], support=(-2, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_quad(self, atoms, support):
+        m = EmpiricalMeasureLine(atoms)
+        assert w1_line_vs_cdf(m, semicircle_cdf, support) == \
+            quad_w1_line_vs_cdf(m, semicircle_cdf, support)
+
+    def test_bit_identical_when_scipy_integrate_is_imported_after(self):
+        # pytest imports scipy.integrate before the first distance (scipy.stats
+        # pulls it in); a fresh interpreter that computes a distance first must
+        # still get quad's floats, and quad itself must still work afterwards
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from speclab.measures import EmpiricalMeasureLine
+            from speclab.transport import semicircle_cdf, w1_line_vs_cdf
+            atoms = np.random.default_rng(5).normal(0.0, 1.2, 300)
+            atoms[:20] = atoms[20:40]  # ties
+            m = EmpiricalMeasureLine(atoms)
+            first = w1_line_vs_cdf(m, semicircle_cdf, (-2, 2))
+            assert "scipy.integrate" not in sys.modules
+            from scipy import integrate
+        """) + textwrap.dedent(inspect.getsource(quad_w1_line_vs_cdf)) + textwrap.dedent("""
+            reference = quad_w1_line_vs_cdf(m, semicircle_cdf, (-2, 2))
+            again = w1_line_vs_cdf(m, semicircle_cdf, (-2, 2))
+            print(repr(first), repr(reference), repr(again))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        first, reference, again = proc.stdout.split()
+        assert first == reference == again
+
+    def test_quadpack_failure_warns(self):
+        # sin(1/x) oscillates without end near 0: qagse spends its 200
+        # subintervals and returns ier = 1, and quad warns with the same float
+        def wild(x):
+            return 0.5 + 0.5 * math.sin(1.0 / x) if x else 0.5
+
+        m = EmpiricalMeasureLine([0.5])
+        with pytest.warns(UserWarning, match="ier = 1"):
+            value = w1_line_vs_cdf(m, wild, (-1.0, 1.0))
+        with pytest.warns(UserWarning):
+            assert value == quad_w1_line_vs_cdf(m, wild, (-1.0, 1.0))
+
+
+def quad_w1_line_vs_cdf(m, ref_cdf, support):
+    """w1_line_vs_cdf written on scipy.integrate.quad, kept as its
+    bit-identity oracle."""
+    from scipy import integrate
+
+    atoms = m.atoms
+    n = atoms.size
+    lo, hi = support
+    lo = min(lo, atoms[0])
+    hi = max(hi, atoms[-1])
+    total = 0.0
+    if lo < atoms[0]:
+        total += integrate.quad(ref_cdf, lo, atoms[0], limit=200, epsabs=1e-10)[0]
+    for k in range(1, n):
+        a, b = atoms[k - 1], atoms[k]
+        if b > a:
+            level = k / n
+            total += integrate.quad(lambda x: abs(level - ref_cdf(x)), a, b,
+                                    limit=200, epsabs=1e-10)[0]
+    if hi > atoms[-1]:
+        total += integrate.quad(lambda x: abs(1.0 - ref_cdf(x)), atoms[-1], hi,
+                                limit=200, epsabs=1e-10)[0]
+    return float(total)
 
 
 def numpy_semicircle_cdf(x):
