@@ -401,6 +401,10 @@ def _verify_group_membership(trials: int, seed: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the suites seed numpy's default_rng, which refuses a negative seed
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     from .experiments import run_lipschitz_suite
 
     total = 0

@@ -29,7 +29,7 @@ from .ensembles import (
     randomized_sum_factors,
     sample_compression,
 )
-from .errors import ContractError
+from .errors import ContractError, SpeclabError
 from .matlin import eig_hermitian, hold_heap, hs_norm
 from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
@@ -312,28 +312,34 @@ def _cell(task) -> dict:
     A circle cell gives ``d1`` to the uniform law, plus ``traces`` (tr U^k
     for k = 1..moments_kmax) when the plan asks for moments.  A line cell
     gives its ``spectrum``; a measured randomized-sum cell (replicate >= m)
-    also gives ``weyl_violation`` from the same draw and eigensolve.
+    also gives ``weyl_violation`` from the same draw and eigensolve.  A
+    ``SpeclabError`` comes back as its own type, its message prefixed with
+    the cell's ensemble, n and replicate.
     """
     plan, n, r = task
     tag, row = plan.ensemble, ENSEMBLES[plan.ensemble]
     key = StreamKey(plan.seed, tag.value, n, r)
-    if row.sampler is not None:
-        measure = row.spectrum(n, key)
-        if row.domain == "line":
-            return {"spectrum": measure}
-        out = {"d1": w1_circle_uniform(measure)}
-        if plan.moments_kmax:
-            out["traces"] = [np.sum(np.exp(1j * k * measure.atoms))
-                             for k in range(1, plan.moments_kmax + 1)]
+    try:
+        if row.sampler is not None:
+            measure = row.spectrum(n, key)
+            if row.domain == "line":
+                return {"spectrum": measure}
+            out = {"d1": w1_circle_uniform(measure)}
+            if plan.moments_kmax:
+                out["traces"] = [np.sum(np.exp(1j * k * measure.atoms))
+                                 for k in range(1, plan.moments_kmax + 1)]
+            return out
+        if tag is EnsembleTag.COMPRESSION:
+            return {"spectrum": eig_hermitian(sample_compression(n, plan.k_of(n), key))}
+        a, b, u = randomized_sum_factors(n, key)
+        out = {"spectrum": eig_hermitian(randomized_sum(a, b, u))}
+        if r >= plan.replicates:
+            out["weyl_violation"] = _weyl_violation(eig_hermitian(a).atoms, eig_hermitian(b).atoms,
+                                                    out["spectrum"].atoms)
         return out
-    if tag is EnsembleTag.COMPRESSION:
-        return {"spectrum": eig_hermitian(sample_compression(n, plan.k_of(n), key))}
-    a, b, u = randomized_sum_factors(n, key)
-    out = {"spectrum": eig_hermitian(randomized_sum(a, b, u))}
-    if r >= plan.replicates:
-        out["weyl_violation"] = _weyl_violation(eig_hermitian(a).atoms, eig_hermitian(b).atoms,
-                                                out["spectrum"].atoms)
-    return out
+    except SpeclabError as exc:
+        # the CLI prints only the message, from whichever process ran the cell
+        raise type(exc)(f"{tag.value} n={n} replicate={r}: {exc}") from exc
 
 
 def usable_cpus() -> int:

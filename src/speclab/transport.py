@@ -55,98 +55,46 @@ def wp_line(m1: EmpiricalMeasureLine, m2: EmpiricalMeasureLine, p: float = 1.0) 
     return float(np.mean(diffs**p) ** (1.0 / p))
 
 
-def _value_median(los: np.ndarray, his: np.ndarray, masses: np.ndarray) -> float:
-    """Median of a mixture of uniform distributions on [lo_i, hi_i] with
-    masses m_i; degenerate intervals count as point masses.  A nondegenerate
-    median interval is resolved to its midpoint.
-
-    One sorted sweep over the breakpoints: each segment adds its density
-    m_i / w_i at lo_i and removes it at hi_i, point masses add a jump at lo_i,
-    and a cumulative sum gives the mixture CDF at every breakpoint in
-    O(N log N) time and O(N) memory."""
-    total = float(np.sum(masses))
-    half = total / 2.0
-    eps = 1e-12 * max(total, 1.0)
-
-    pts = np.unique(np.concatenate([los, his]))
-    widths = his - los
-    flat = widths <= 0.0
-    size = pts.size
-    rate = masses[~flat] / widths[~flat]
-    density_steps = (np.bincount(np.searchsorted(pts, los[~flat]), rate, size)
-                     - np.bincount(np.searchsorted(pts, his[~flat]), rate, size))
-    density = np.maximum(np.cumsum(density_steps)[:-1], 0.0)
-    jumps = np.bincount(np.searchsorted(pts, los[flat]), masses[flat], size)
-    # cumulative mass at each breakpoint, nondecreasing
-    vals = np.concatenate([[0.0], np.cumsum(density * np.diff(pts))]) + np.cumsum(jumps)
-
-    # the cumulative sums round, so a breakpoint within eps below half
-    # reaches the half-mass level
-    i = int(np.searchsorted(vals, half - eps))
-    if i == 0:
-        return float(pts[0])
-    if i >= size:
-        return float(pts[-1])
-    if vals[i] > half + eps:
-        # the cdf passes half below pts[i] or in its point mass: interpolate
-        # toward the mass strictly below pts[i]
-        below = vals[i] - jumps[i]
-        if below <= half + eps:
-            return float(pts[i])
-        a, b = pts[i - 1], pts[i]
-        fa = vals[i - 1]
-        return float(a + (half - fa) / (below - fa) * (b - a))
-    # cdf hits half at pts[i]; the median set extends to the last flat point
-    j = int(np.searchsorted(vals, half + eps, side="right")) - 1
-    return float((pts[i] + pts[j]) / 2.0)
-
-
-def _circle_cdf_segments(atoms: np.ndarray):
-    """Segments of G(t) = F(t) - t/(2*pi) on [0, 2*pi): arrays of segment
-    length, value at the left endpoint, and value at the right endpoint.
-    G decreases at constant slope -1/(2*pi) inside each segment."""
-    n = atoms.size
-    lefts = np.concatenate([[0.0], atoms])
-    rights = np.concatenate([atoms, [TWO_PI]])
-    levels = np.arange(n + 1) / n
-    lengths = rights - lefts
-    keep = lengths > 0
-    lefts, rights, levels, lengths = lefts[keep], rights[keep], levels[keep], lengths[keep]
-    g_left = levels - lefts / TWO_PI
-    g_right = levels - rights / TWO_PI
-    return lengths, g_left, g_right
+def _h(x):
+    """An antiderivative of |x|: the integral of |v| dv from 0 to x."""
+    return x * np.abs(x) / 2.0
 
 
 def w1_circle_uniform(m: EmpiricalMeasureCircle) -> float:
-    """Exact geodesic W1 to the uniform circle measure.
+    """Exact geodesic W1 to the uniform circle measure, in quantile form.
 
-    Uses min over c of the integral of |F_m(t) - t/(2*pi) - c| dt, where c
-    ranges over shifts; the optimal c is a Lebesgue-median of the piecewise
-    linear integrand and every segment integral has a closed form.
+    With x_i the sorted atoms over 2*pi and z_i = x_i - i/n (i = 1..n),
+    W1 = 2*pi * min over theta of the sum of the integrals of |v - theta|
+    over [z_i, z_i + 1/n] (Delon, Salomon & Sobolevski, 2010).  The
+    intervals' union has density at least 1 between its ends, so its
+    median theta is unique; each integral is h(z_i + 1/n - theta) -
+    h(z_i - theta) with h(x) = x|x|/2.
     """
-    lengths, g_left, g_right = _circle_cdf_segments(m.atoms)
-    # G's pushforward: uniform on [g_right, g_left] per segment, t-mass = length
-    los, his = g_right, g_left
-    c = _value_median(los, his, lengths)
-
-    def h(x):
-        return x * np.abs(x) / 2.0
-
-    # integral over a segment: since |dG/dt| = 1/(2*pi), dt = 2*pi dv
-    return float(np.sum(TWO_PI * (h(his - c) - h(los - c))))
+    n = len(m)
+    z = m.atoms / TWO_PI - np.arange(1, n + 1) / n
+    ends = np.concatenate([z, z + 1.0 / n])
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    # the union's density between consecutive ends, and its mass below each end
+    density = np.cumsum(np.where(order < n, 1.0, -1.0))[:-1]
+    mass = np.concatenate([[0.0], np.cumsum(density * np.diff(ends))])
+    theta = np.interp(0.5, mass, ends)
+    return float(TWO_PI * np.sum(_h(z + 1.0 / n - theta) - _h(z - theta)))
 
 
 def w1_circle_pair(m1: EmpiricalMeasureCircle, m2: EmpiricalMeasureCircle) -> float:
     """Exact geodesic W1 between two empirical circle measures via the
-    circular-CDF formula; the integrand is piecewise constant."""
+    circular-CDF formula: min over c of the integral of |F1 - F2 - c|, where
+    F1 - F2 is constant between cuts and c is its length-weighted median."""
     cuts = np.unique(np.concatenate([[0.0], m1.atoms, m2.atoms, [TWO_PI]]))
     lengths = np.diff(cuts)
     mids = cuts[:-1]
     f1 = np.searchsorted(m1.atoms, mids, side="right") / len(m1)
     f2 = np.searchsorted(m2.atoms, mids, side="right") / len(m2)
     g = f1 - f2
-    # any Lebesgue median of g minimizes the integral of |g - c|
-    c = _value_median(g, g, lengths)
+    order = np.argsort(g, kind="stable")
+    below = np.cumsum(lengths[order])
+    c = g[order[np.searchsorted(below, below[-1] / 2.0)]]
     return float(np.sum(lengths * np.abs(g - c)))
 
 

@@ -163,12 +163,14 @@ LINE = {"metric": "line_euclidean"}
 
 class TestDistanceGolden:
     """The full JSON line of each route, pinned at the values the command
-    printed when transport routines still returned result objects."""
+    printed when transport routines still returned result objects.  The
+    uniform-circle value moved one ulp when that route took its quantile
+    form."""
 
     @pytest.mark.parametrize("reference,flags,expected", [
-        ("uniform-circle", [], dict(CIRCLE, value=0.5276841812550043,
-                                    chordal_lower=0.3359341833525344,
-                                    chordal_upper=0.5276841812550043)),
+        ("uniform-circle", [], dict(CIRCLE, value=0.5276841812550044,
+                                    chordal_lower=0.33593418335253444,
+                                    chordal_upper=0.5276841812550044)),
         ("semicircle", [], dict(LINE, algorithm="cdf_integral", p=1.0,
                                 value=0.30775158092639027)),
         ("circle-pair", [], dict(CIRCLE, value=0.7, chordal_lower=0.44563384065730693,
@@ -253,6 +255,26 @@ class TestExperiment:
             assert code == 0
             blobs.append((outdir / "records.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cell_names_its_key(self, tmp_path, capsys, monkeypatch, workers):
+        # pool workers are forked after the patch, so it reaches them too
+        draw = ensembles.haar_unitary
+
+        def singular_at_8_2(n, key):
+            if (key.n, key.replicate) == (8, 2):
+                raise NumericalFailureError("Cayley transform is singular at every fixed shift")
+            return draw(n, key)
+
+        monkeypatch.setattr(ensembles, "haar_unitary", singular_at_8_2)
+        plan = write_plan(tmp_path / "plan.json")
+        message = "unitary n=8 replicate=2: Cayley transform is singular at every fixed shift"
+        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
+                                 "--out", str(tmp_path / "run"), "--workers", str(workers))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        with pytest.raises(NumericalFailureError) as exc:
+            run_rate_experiment(cli.load_plan(str(plan)), workers=workers)
+        assert str(exc.value) == message
 
     def test_manifest_check_roundtrip(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json")
@@ -679,6 +701,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "group-membership",
                                "--trials", "20", "--seed", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("suite", ["lipschitz", "transport-oracle", "group-membership",
+                                       "all"])
+    def test_negative_seed_exits_2_before_any_suite(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("sampler,fake", [
         ("haar_so", refuse_to_sample),  # a sampler whose certificate fails

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -10,12 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speclab.ensembles import gue_wigner
+from speclab.ensembles import ENSEMBLES, EnsembleTag, gue_wigner
 from speclab.errors import ContractError, SizeGuardError
 from speclab.matlin import eig_hermitian, hs_norm
 from speclab.measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from speclab.rng import StreamKey
-from speclab import transport
 from speclab.transport import (
     assignment_oracle,
     chordal_distance,
@@ -30,6 +30,7 @@ from speclab.transport import (
 
 TWO_PI = 2 * np.pi
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REFERENCE = os.path.join(os.path.dirname(SRC), "perfbench", "reference.json")
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
@@ -122,7 +123,7 @@ def quadratic_value_median(los, his, masses):
     vals = frac @ masses
     jumps = (flat[None, :] & (pts[:, None] == los[None, :])) @ masses
 
-    # as in the sweep: a cumulative mass within eps below half reaches it
+    # the matrix product rounds, so a cumulative mass within eps below half reaches it
     i = int(np.searchsorted(vals, half - eps))
     if i == 0:
         return float(pts[0])
@@ -141,8 +142,31 @@ def quadratic_value_median(los, his, masses):
     return float((pts[i] + pts[j]) / 2.0)
 
 
+def cdf_w1_circle_uniform(atoms):
+    """W1 to the uniform circle law in its CDF form, kept as the oracle of
+    the quantile form: min over c of the integral of |G(t) - c|, where
+    G(t) = F(t) - t/(2*pi) falls at slope -1/(2*pi) between atoms, so the
+    optimal c is a median of G's values weighted by arc length."""
+    n = atoms.size
+    lefts = np.concatenate([[0.0], atoms])
+    rights = np.concatenate([atoms, [TWO_PI]])
+    levels = np.arange(n + 1) / n
+    keep = rights > lefts
+    lefts, rights, levels = lefts[keep], rights[keep], levels[keep]
+    # on each segment G is uniform on [his, los] with mass its length
+    los, his = levels - rights / TWO_PI, levels - lefts / TWO_PI
+    c = quadratic_value_median(los, his, rights - lefts)
+
+    def h(x):
+        return x * np.abs(x) / 2.0
+
+    # |dG/dt| = 1/(2*pi), so dt = 2*pi dv on each segment
+    return float(np.sum(TWO_PI * (h(his - c) - h(los - c))))
+
+
 class TestCircleUniformSweep:
-    """The O(N log N) breakpoint sweep against the quadratic reference."""
+    """The quantile form, whose median is one sorted sweep over the interval
+    ends, against the CDF form with the quadratic median."""
 
     @given(
         n=st.integers(1, 2000),
@@ -152,6 +176,7 @@ class TestCircleUniformSweep:
     @example(n=2000, kind="uniform", seed=0)
     @example(n=2000, kind="tied", seed=1)
     @example(n=2000, kind="roots", seed=0)
+    @example(n=295, kind="zero", seed=0)
     @settings(max_examples=150, deadline=None)
     def test_matches_quadratic_median(self, n, kind, seed):
         rng = np.random.default_rng(seed)
@@ -164,54 +189,19 @@ class TestCircleUniformSweep:
         else:
             atoms = TWO_PI * np.arange(n) / n
         m = EmpiricalMeasureCircle(atoms)
-        lengths, g_left, g_right = transport._circle_cdf_segments(m.atoms)
-        fast_c = transport._value_median(g_right, g_left, lengths)
-        slow_c = quadratic_value_median(g_right, g_left, lengths)
-        assert fast_c == pytest.approx(slow_c, abs=1e-12)
-        fast = w1_circle_uniform(m)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transport, "_value_median", quadratic_value_median)
-            slow = w1_circle_uniform(m)
-        assert fast == pytest.approx(slow, abs=1e-12)
+        assert w1_circle_uniform(m) == pytest.approx(cdf_w1_circle_uniform(m.atoms), abs=1e-12)
 
-    @given(
-        los=st.lists(st.floats(-5, 5).map(lambda x: round(x, 1)), min_size=1, max_size=40),
-        data=st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_mixtures_with_point_masses(self, los, data):
-        k = len(los)
-        widths = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5]),
-                                    min_size=k, max_size=k))
-        masses = data.draw(st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k))
-        lo, w, ms = np.array(los), np.array(widths), np.array(masses)
-        fast = transport._value_median(lo, lo + w, ms)
-        slow = quadratic_value_median(lo, lo + w, ms)
-        assert fast == pytest.approx(slow, abs=1e-12)
-
-    def test_half_level_reached_below_by_rounding(self):
-        # the sweep's cumulative mass at 0.1 rounds to just under half; the
-        # median set is the flat stretch [0.1, 1.0], resolved to its midpoint
-        lo = np.array([0.0, 1.0])
-        his, ms = lo + 0.1, np.array([1.9, 1.9])
-        assert transport._value_median(lo, his, ms) == pytest.approx(0.55, abs=1e-12)
-        assert quadratic_value_median(lo, his, ms) == pytest.approx(0.55, abs=1e-12)
-
-    def test_oracle_half_level_reached_below_by_rounding(self):
-        # the oracle's matrix product lands one ulp under half at 2.5, the
-        # end of the flat median stretch [1.5, 2.5]; the median is 2.0
-        lo = np.array([-3.6, -4.3, 4.5, 3.5, 2.5, 1.5])
-        his = lo + np.array([2.5, 0.5, 0.5, 0.1, 0.1, 0.0])
-        ms = np.array([10.0, 1.0, 0.1, 10.0, 1.0, 0.1])
-        assert transport._value_median(lo, his, ms) == pytest.approx(2.0, abs=1e-12)
-        assert quadratic_value_median(lo, his, ms) == pytest.approx(2.0, abs=1e-12)
-
-    def test_median_inside_a_point_mass(self):
-        # unit masses at 0, 1 and 2: the cdf jumps from 1/3 to 2/3 at 1, so
-        # the median is 1 (cost 2), not a point interpolated across the jump
-        pts, ms = np.array([0.0, 1.0, 2.0]), np.ones(3)
-        assert transport._value_median(pts, pts, ms) == 1.0
-        assert quadratic_value_median(pts, pts, ms) == 1.0
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_circle_rate_pins(self, n):
+        # perfbench's circle_rate workload pins every d1 of plans/unitary_rate.json
+        # at 1e-12 in perfbench/reference.json; these cells rebuild the first five
+        with open(REFERENCE, encoding="utf-8") as fh:
+            reference = json.load(fh)
+        pinned = {(pn, r): v for pn, r, v in reference["circle_rate"]}
+        row = ENSEMBLES[EnsembleTag.UNITARY]
+        for r in range(5):
+            spectrum = row.spectrum(n, StreamKey(reference["seed"], "unitary", n, r))
+            assert abs(w1_circle_uniform(spectrum) - pinned[(n, r)]) <= 1e-12
 
     def test_hundred_thousand_atoms(self):
         n = 100_000
@@ -229,6 +219,16 @@ class TestCirclePair:
     def test_identical(self):
         m = EmpiricalMeasureCircle([0.5, 4.0])
         assert w1_circle_pair(m, m) == 0.0
+
+    def test_half_length_reached_exactly_at_a_step(self):
+        # F1 - F2 is 1/2 on [0, pi/2) and [pi, 3pi/2), 0 elsewhere: the cumulative
+        # length reaches half exactly between the two values, and every c in
+        # [0, 1/2] is a median
+        m1 = EmpiricalMeasureCircle([0.0, np.pi])
+        m2 = EmpiricalMeasureCircle([np.pi / 2, 3 * np.pi / 2])
+        d = w1_circle_pair(m1, m2)
+        assert d == pytest.approx(np.pi / 2, abs=1e-12)
+        assert d == pytest.approx(assignment_oracle(m1, m2, geodesic_distance, 1.0), abs=1e-12)
 
     def test_antipodal_singletons(self):
         d = w1_circle_pair(EmpiricalMeasureCircle([0.0]), EmpiricalMeasureCircle([np.pi]))
