@@ -5,7 +5,9 @@ SU(n), Sp(n); the circular ensembles COE(n) and CSE(2n); Gaussian Wigner
 (GUE-scaled) Hermitian matrices; random compressions; and randomized sums.
 
 Every sampler is a pure function of its StreamKey: replaying a key
-reproduces the matrix bit-for-bit.
+reproduces the matrix bit-for-bit.  A sampler works on plain arrays and
+certifies only the matrix it returns, as one ``UnitaryView`` or
+``HermitianView``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, NumericalFailureError
-from .matlin import (ComplexMatrix, HermitianView, UnitaryView, qr_positive, det_lu,
-                     eig_hermitian, eig_unitary_angles)
+from .matlin import (HermitianView, UnitaryView, qr_positive, det_lu, eig_hermitian,
+                     eig_unitary_angles)
 from .rng import StreamKey, standard_complex_normal, subkey
 
 DET_TOL = 1e-8
@@ -84,70 +86,66 @@ def _j_times(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def ginibre_complex(n: int, key: StreamKey) -> ComplexMatrix:
-    """n-by-n matrix of i.i.d. complex standard normals."""
+def ginibre_complex(n: int, key: StreamKey) -> np.ndarray:
+    """n-by-n array of i.i.d. complex standard normals."""
     if n < 1:
         raise ContractError("n must be at least 1")
     rng = key.generator()
-    return ComplexMatrix(standard_complex_normal(rng, (n, n)))
+    return standard_complex_normal(rng, (n, n))
 
 
-def ginibre_real(n: int, key: StreamKey) -> ComplexMatrix:
-    """n-by-n matrix of i.i.d. real standard normals."""
+def ginibre_real(n: int, key: StreamKey) -> np.ndarray:
+    """n-by-n array of i.i.d. real standard normals, as complex128."""
     if n < 1:
         raise ContractError("n must be at least 1")
     rng = key.generator()
-    return ComplexMatrix(rng.standard_normal((n, n)).astype(np.complex128))
+    return rng.standard_normal((n, n)).astype(np.complex128)
 
 
 def haar_unitary(n: int, key: StreamKey) -> UnitaryView:
     """Haar-distributed U(n): positive-diagonal QR of a complex Ginibre matrix."""
-    return qr_positive(ginibre_complex(n, key))
+    return UnitaryView(qr_positive(ginibre_complex(n, key)))
 
 
 def haar_orthogonal(n: int, key: StreamKey) -> UnitaryView:
     """Haar-distributed O(n): positive-diagonal QR of a real Ginibre matrix."""
-    return qr_positive(ginibre_real(n, key))
+    return UnitaryView(qr_positive(ginibre_real(n, key)))
 
 
-def _with_det_sign(u: UnitaryView, want_positive: bool) -> UnitaryView:
-    """Flip the last column if det has the wrong sign.  Right translation by
-    diag(1,...,1,-1) preserves Haar measure and swaps the two components."""
-    det = det_lu(u).real
+def _with_det_sign(q: np.ndarray, want_positive: bool) -> UnitaryView:
+    """The Haar O(n) draw q, its last column flipped in place if det has the
+    wrong sign.  Right translation by diag(1,...,1,-1) preserves Haar measure
+    and swaps the two components."""
+    det = det_lu(q).real
     target = 1.0 if want_positive else -1.0
     if det * target < 0:
-        m = u.entries.copy()
-        m[:, -1] = -m[:, -1]
-        u = UnitaryView(m)
-        det = det_lu(u).real
+        q[:, -1] = -q[:, -1]
+        det = det_lu(q).real
     if abs(det - target) > DET_TOL:
         raise NumericalFailureError(f"determinant {det} not within {DET_TOL} of {target}")
-    return u
+    return UnitaryView(q)
 
 
 def haar_so(n: int, key: StreamKey) -> UnitaryView:
     """Haar-distributed SO(n)."""
-    return _with_det_sign(haar_orthogonal(n, key), want_positive=True)
+    return _with_det_sign(qr_positive(ginibre_real(n, key)), want_positive=True)
 
 
 def haar_so_minus(n: int, key: StreamKey) -> UnitaryView:
     """Haar measure on the det = -1 coset of O(n)."""
-    return _with_det_sign(haar_orthogonal(n, key), want_positive=False)
+    return _with_det_sign(qr_positive(ginibre_real(n, key)), want_positive=False)
 
 
 def haar_su(n: int, key: StreamKey) -> UnitaryView:
     """Haar-distributed SU(n): the last column of a Haar U(n) matrix is scaled
     by det(U)^{-1}.  The correction commutes with left SU(n)-translations, so
     the output law is left-invariant, hence Haar."""
-    u = haar_unitary(n, key)
-    det = det_lu(u)
-    m = u.entries.copy()
-    m[:, -1] = m[:, -1] / det
-    out = UnitaryView(m)
-    det_out = det_lu(out)
-    if abs(det_out - 1.0) > DET_TOL:
-        raise NumericalFailureError(f"det of SU sample is {det_out}, not 1")
-    return out
+    q = qr_positive(ginibre_complex(n, key))
+    q[:, -1] /= det_lu(q)
+    det = det_lu(q)
+    if abs(det - 1.0) > DET_TOL:
+        raise NumericalFailureError(f"det of SU sample is {det}, not 1")
+    return UnitaryView(q)
 
 
 def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
@@ -173,8 +171,7 @@ def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
     g[1::2, 0::2] = b
     g[1::2, 1::2] = a.conj()
 
-    out = qr_positive(ComplexMatrix(g))
-    q = out.entries
+    q = qr_positive(g)
     # U J U^T - J, where J's only entries are -1 at (2k, 2k+1) and 1 at (2k+1, 2k)
     residual = q @ _j_times(q.T)
     pairs = np.arange(0, 2 * n, 2)
@@ -183,12 +180,12 @@ def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
     defect = np.linalg.norm(residual)
     if defect > 1e-8 * np.sqrt(n):
         raise NumericalFailureError(f"symplectic identity violated by {defect:.3e}")
-    return out
+    return UnitaryView(q)
 
 
 def sample_coe(n: int, key: StreamKey) -> UnitaryView:
     """COE(n): V^T V with V Haar on U(n).  Output is unitary and symmetric."""
-    v = haar_unitary(n, key).entries
+    v = qr_positive(ginibre_complex(n, key))
     return UnitaryView(v.T @ v)
 
 
@@ -196,7 +193,7 @@ def sample_cse(half_n: int, key: StreamKey) -> UnitaryView:
     """CSE(2n): J V^T J^T V with V Haar on U(2n) and J the symplectic form."""
     if half_n < 1:
         raise ContractError("half dimension must be at least 1")
-    v = haar_unitary(2 * half_n, key).entries
+    v = qr_positive(ginibre_complex(2 * half_n, key))
     # J V^T J^T = J (J V)^T
     return UnitaryView(_j_times(_j_times(v).T) @ v)
 
@@ -207,9 +204,8 @@ def gue_wigner(n: int, key: StreamKey) -> HermitianView:
     With this scaling the spectrum concentrates on [-2, 2] and
     E ||A||_op stays bounded in n.
     """
-    g = ginibre_complex(n, key).entries
-    a = (g + g.conj().T) / np.sqrt(2.0 * n)
-    return HermitianView(a)
+    g = ginibre_complex(n, key)
+    return HermitianView((g + g.conj().T) / np.sqrt(2.0 * n))
 
 
 def compress(a: HermitianView, u: UnitaryView, k: int) -> HermitianView:
@@ -220,10 +216,7 @@ def compress(a: HermitianView, u: UnitaryView, k: int) -> HermitianView:
         raise ContractError(f"dimension mismatch: A is {n}, U is {u.dim}")
     if not 1 <= k <= n:
         raise ContractError(f"k must be in 1..{n}, got {k}")
-    m = u.entries @ a.entries @ u.entries.conj().T
-    block = m[:k, :k]
-    block = (block + block.conj().T) / 2.0  # scrub roundoff asymmetry
-    return HermitianView(block)
+    return HermitianView((u.entries @ a.entries @ u.entries.conj().T)[:k, :k])
 
 
 def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> HermitianView:
@@ -233,9 +226,7 @@ def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> Hermit
         raise ContractError(
             f"dimension mismatch: A is {n}, B is {b.dim}, U is {u.dim}"
         )
-    m = u.entries @ a.entries @ u.entries.conj().T + b.entries
-    m = (m + m.conj().T) / 2.0
-    return HermitianView(m)
+    return HermitianView(u.entries @ a.entries @ u.entries.conj().T + b.entries)
 
 
 ENSEMBLES = {

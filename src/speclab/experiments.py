@@ -288,12 +288,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled: EmpiricalMeasureLine) -> float:
-    """Exact W1 between a k-atom measure and an (m*k)-atom pooled measure by
-    replicating each atom m times (equal-weight multisets of equal size)."""
+    """Exact W1 between a k-atom measure and an (m*k)-atom pooled measure.
+    The monotone coupling sends the sample's i-th atom, with mass 1/k, to
+    the i-th block of m sorted pooled atoms."""
     m = len(pooled) // len(sample)
     if m * len(sample) != len(pooled):
         raise ContractError("pooled atom count must be a multiple of the sample's")
-    return wp_line(EmpiricalMeasureLine(np.repeat(sample.atoms, m)), pooled, 1.0)
+    return float(np.mean(np.abs(pooled.atoms.reshape(-1, m) - sample.atoms[:, None])))
 
 
 def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra: norms, QR with positive diagonal, and
 Hermitian and unitary eigendecompositions.
 
-All values are immutable after construction and safe to share between
-threads.  Eigensolvers are LAPACK-backed (via numpy) and return the empirical
-spectral measure types of ``measures``; constructor checks make the
-Hermitian/unitary assumptions explicit rather than trusted.
+The matrix views are immutable after construction and safe to share between
+threads; their constructor checks make the Hermitian/unitary assumptions
+explicit rather than trusted.  The plain-matrix helpers take arrays.
+Eigensolvers are LAPACK-backed (via numpy) and return the empirical spectral
+measure types of ``measures``.
 
 Unitary spectra never go through the general non-symmetric eigensolver.  A
 phase-shifted Cayley transform H = i (I + zU)^{-1} (I - zU), z = e^{i alpha},
@@ -57,7 +58,9 @@ class ComplexMatrix:
 
 
 class HermitianView(ComplexMatrix):
-    """A ComplexMatrix certified Hermitian: ||A - A*|| <= 1e-12 ||A|| in HS norm."""
+    """A ComplexMatrix certified Hermitian: ||A - A*|| <= 1e-12 ||A|| in HS
+    norm for the entries as given.  It then holds their exactly Hermitian
+    part (A + A*) / 2, which leaves an exactly Hermitian input bit for bit."""
 
     __slots__ = ()
 
@@ -70,6 +73,9 @@ class HermitianView(ComplexMatrix):
             raise ContractError(
                 f"matrix is not Hermitian: ||A - A*|| = {defect:.3e} vs ||A|| = {scale:.3e}"
             )
+        h = (a + a.conj().T) / 2.0
+        h.setflags(write=False)
+        self.entries = h
 
 
 class UnitaryView(ComplexMatrix):
@@ -88,10 +94,9 @@ class UnitaryView(ComplexMatrix):
             )
 
 
-def hs_norm(a) -> float:
+def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
-    arr = a.entries if hasattr(a, "entries") else np.asarray(a)
-    return float(np.linalg.norm(arr))
+    return float(np.linalg.norm(a))
 
 
 def eig_hermitian(a: HermitianView) -> EmpiricalMeasureLine:
@@ -103,25 +108,26 @@ def eig_hermitian(a: HermitianView) -> EmpiricalMeasureLine:
         raise NumericalFailureError(f"Hermitian eigensolver failed: {exc}") from exc
 
 
-def qr_positive(g: ComplexMatrix) -> UnitaryView:
+def qr_positive(g: np.ndarray) -> np.ndarray:
     """The Q of the QR factorization whose R has a real, strictly positive
     diagonal.
 
     This normalization makes the factorization unique and is what turns the
     Q of a Gaussian matrix into a Haar-distributed unitary (Mezzadri, Notices
-    AMS 2007).  Only Q is returned: R's phases are moved into Q's columns.
+    AMS 2007).  Only Q is returned, as a new array: R's phases are moved into
+    Q's columns.  The sampler that returns it certifies it.
     """
-    q, r = np.linalg.qr(g.entries)
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     if np.any(np.abs(d) < 1e-300):
         raise DegenerateInputError("input is numerically rank-deficient")
-    return UnitaryView(q * (d / np.abs(d))[np.newaxis, :])
+    return q * (d / np.abs(d))[np.newaxis, :]
 
 
-def det_lu(a: ComplexMatrix) -> complex:
+def det_lu(a: np.ndarray) -> complex:
     """Determinant via LU with partial pivoting (independent of the QR path,
     so determinant checks are genuine cross-checks)."""
-    return complex(np.linalg.det(a.entries))
+    return complex(np.linalg.det(a))
 
 
 # Shifts alpha of the Cayley transform.  Its pole, the eigenvalue that
@@ -199,7 +205,7 @@ def eig_unitary_angles(u: UnitaryView) -> EmpiricalMeasureCircle:
     # roundoff can park an angle at (or just below) 2*pi
     angles = np.where(angles >= TWO_PI - 1e-12, 0.0, angles)
     prod = np.exp(1j * np.sum(angles))
-    det = det_lu(u)
+    det = det_lu(a)
     if abs(prod - det) > 1e-8 * n:
         raise NumericalFailureError(
             f"angle product disagrees with det(U) by {abs(prod - det):.3e}"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab import cli, ensembles, experiments
+from speclab import cli, ensembles, experiments, matlin
 from speclab.cli import main
 from speclab.ensembles import ENSEMBLES, EnsembleTag
 from speclab.errors import NumericalFailureError
@@ -709,16 +709,19 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: --seed must be non-negative, got -1\n"
 
-    @pytest.mark.parametrize("sampler,fake", [
-        ("haar_so", refuse_to_sample),  # a sampler whose certificate fails
-        ("sample_coe", ensembles.haar_unitary),  # unitary but not symmetric
-    ], ids=["so-certificate-fails", "coe-not-symmetric"])
-    def test_group_membership_suite_counts_failures(self, capsys, monkeypatch, sampler, fake):
-        # rows look their sampler up by name at call time, so the patch reaches them
-        monkeypatch.setattr(ensembles, sampler, fake)
+    @pytest.mark.parametrize("name,fake,violations", [
+        ("haar_so", refuse_to_sample, 20),  # a sampler whose certificate fails
+        ("sample_coe", ensembles.haar_unitary, 20),  # unitary but not symmetric
+        # a Q off the group by 0.1%: each of the eight circle rows must refuse it
+        ("qr_positive", lambda g: 1.001 * matlin.qr_positive(g), 160),
+    ], ids=["so-certificate-fails", "coe-not-symmetric", "every-row-certifies-its-q"])
+    def test_group_membership_suite_counts_failures(self, capsys, monkeypatch, name, fake,
+                                                    violations):
+        # the samplers look these names up at call time, so the patch reaches them
+        monkeypatch.setattr(ensembles, name, fake)
         code, out, _ = run_cli(capsys, "verify", "--suite", "group-membership",
                                "--trials", "20", "--seed", "3")
-        assert (code, out) == (1, "group-membership: 20 violations\n")
+        assert (code, out) == (1, f"group-membership: {violations} violations\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -886,6 +889,7 @@ IMPORT_GUARD = textwrap.dedent("""
             "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
             "experiment_stack": sorted(m for m in EXPERIMENT_STACK if m in sys.modules),
             "numpy_random": "numpy.random" in sys.modules,
+            "importlib_metadata": "importlib.metadata" in sys.modules,
         }
 
     out = sys.argv[1]
@@ -976,6 +980,16 @@ def test_one_shot_commands_load_no_experiment_stack(modules_loaded_by_command):
     assert stack == {"import": [], "sample": [], "distance": [], "manifest-check": []}
 
 
+def test_experiment_loads_no_package_metadata(modules_loaded_by_command):
+    # the manifest records the scipy this process loaded; reading the installed
+    # metadata instead imports the email package and costs peak memory
+    loaded = {command: loaded["importlib_metadata"] for command, loaded
+              in modules_loaded_by_command.items()}
+    loaded.pop("distance-semicircle")  # runs last, and loads scipy
+    assert loaded == {"import": False, "sample": False, "distance": False,
+                      "manifest-check": False, "experiment": False}
+
+
 def test_import_loads_no_numpy_random(modules_loaded_by_command):
     # distance and manifest-check draw nothing: the generator classes are
     # imported by the first StreamKey.generator call, which sample makes
@@ -1036,6 +1050,7 @@ def test_held_heap_changes_no_byte(tmp_path, ensemble):
         assert (out / "records.csv").read_bytes() == library.stdout
         environment = json.loads((out / "manifest.json").read_text())["environment"]
         assert environment["heap_held"] is glibc()
+        assert environment["scipy"] is None  # the run never imported scipy
 
 
 def minor_faults(*argv) -> int:

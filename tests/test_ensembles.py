@@ -60,19 +60,19 @@ def op_norm(a):
 class TestGinibre:
     def test_determinism(self):
         k = key("ginibre", 16)
-        assert np.array_equal(ginibre_complex(16, k).entries, ginibre_complex(16, k).entries)
+        assert np.array_equal(ginibre_complex(16, k), ginibre_complex(16, k))
 
     def test_unit_variance_entries(self):
         # pooled mean of |entry|^2 is within a CLT band around 1
         pooled = np.concatenate([
-            np.abs(ginibre_complex(64, key("ginibre_var", 64, r)).entries.ravel()) ** 2
+            np.abs(ginibre_complex(64, key("ginibre_var", 64, r)).ravel()) ** 2
             for r in range(3)
         ])[:10000]
         assert 0.97 <= np.mean(pooled) <= 1.03
 
     def test_distinct_replicates_differ_everywhere(self):
-        g0 = ginibre_complex(8, key("ginibre", 8, 0)).entries
-        g1 = ginibre_complex(8, key("ginibre", 8, 1)).entries
+        g0 = ginibre_complex(8, key("ginibre", 8, 0))
+        g1 = ginibre_complex(8, key("ginibre", 8, 1))
         assert np.all(g0 != g1)
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (8, 8), (5, 7), (128, 128), (17,)])
@@ -110,7 +110,7 @@ class TestRealGroups:
     def test_so_determinant(self):
         for r in range(20):
             u = haar_so(5, key("so", 5, r))
-            assert abs(det_lu(u).real - 1) <= 1e-8
+            assert abs(det_lu(u.entries).real - 1) <= 1e-8
 
     def test_so_minus_n1_is_minus_one(self):
         u = haar_so_minus(1, key("so_minus", 1))
@@ -127,7 +127,7 @@ class TestHaarSu:
     def test_det_is_one(self):
         for r in range(20):
             u = haar_su(6, key("su", 6, r))
-            assert abs(det_lu(u) - 1) <= 1e-8
+            assert abs(det_lu(u.entries) - 1) <= 1e-8
 
     def test_su1_is_trivial(self):
         u = haar_su(1, key("su", 1))
@@ -338,6 +338,25 @@ class TestGroupMembership:
                 u = ENSEMBLES[tag].sample(amb, key(f"member_{tag.value}", amb, r))
                 defect = hs_norm(u.entries @ u.entries.conj().T - np.eye(amb))
                 assert defect <= 1e-10 * np.sqrt(amb)
+
+    @pytest.mark.parametrize("tag", CIRCLE_TAGS, ids=lambda t: t.value)
+    def test_one_certificate_per_draw(self, monkeypatch, tag):
+        # the sampler certifies the matrix it returns, and nothing before it;
+        # eight replicates reach both branches of the SO and SO- sign flip
+        calls = []
+        init = UnitaryView.__init__
+
+        def counting(self, entries):
+            calls.append(1)
+            init(self, entries)
+
+        monkeypatch.setattr(UnitaryView, "__init__", counting)
+        per_draw = []
+        for r in range(8):
+            calls.clear()
+            ENSEMBLES[tag].sample(6, key(f"certify_{tag.value}", 6, r))
+            per_draw.append(len(calls))
+        assert per_draw == [1] * 8
 
     def test_haar_invariance_smoke(self):
         # angles of W U (fixed W) are distributed like angles of U

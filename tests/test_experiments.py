@@ -20,8 +20,9 @@ from speclab.experiments import (
     wilson_interval,
 )
 from speclab.matlin import eig_hermitian, hold_heap
-from speclab.measures import pool
+from speclab.measures import EmpiricalMeasureLine, pool
 from speclab.rng import StreamKey
+from speclab.transport import wp_line
 
 SEED = 1234
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -256,6 +257,19 @@ class TestRateExperiment:
         d1 = [rec.value for rec in res.records if rec.statistic == "d1"]
         assert d1 == [_d1_to_pooled(s, pooled) for s in spectra[m:]]
 
+    def test_line_rate_pins(self):
+        # perfbench's line_rate workload pins every d1 of this plan's n = 16..128
+        # at 1e-12 in perfbench/reference.json; n = 16 and 32 rebuild 400 of them
+        with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as fh:
+            reference = json.load(fh)
+        pinned = {(n, r): v for n, r, v in reference["line_rate"]}
+        plan = ExperimentPlan(EnsembleTag.RANDOMIZED_SUM, (16, 32), 200, reference["seed"])
+        records = run_rate_experiment(plan).records
+        d1 = [(rec.n, rec.replicate, rec.value) for rec in records if rec.statistic == "d1"]
+        assert len(d1) == 400
+        assert all(abs(v - pinned[(n, r)]) <= 1e-12 for n, r, v in d1)
+        assert all(rec.value == 0.0 for rec in records if rec.statistic == "weyl_violation")
+
     def test_compression_abscissa_is_kn(self):
         plan = ExperimentPlan(
             EnsembleTag.COMPRESSION, (8, 16, 32), 5, SEED, k_rule="half"
@@ -338,3 +352,31 @@ class TestLipschitzSuite:
         assert report.conjugation_violations == 0
         assert report.compression_violations == 0
         assert report.weyl_violations == 0
+
+
+def d1_by_repetition(sample, pooled):
+    """The pooled d1 as first written, kept as the oracle of _d1_to_pooled:
+    repeat each sample atom m times and take the sorted-coupling W1."""
+    m = len(pooled) // len(sample)
+    return wp_line(EmpiricalMeasureLine(np.repeat(sample.atoms, m)), pooled, 1.0)
+
+
+class TestD1ToPooled:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 64), m=st.integers(1, 50), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_repeated_atoms_route(self, k, m, ties, seed):
+        # small integers tie within and across the two measures; the normals
+        # take both signs
+        rng = np.random.default_rng(seed)
+        draw = ((lambda size: rng.integers(-3, 4, size).astype(float)) if ties
+                else (lambda size: 100.0 * rng.standard_normal(size)))
+        sample, pooled = EmpiricalMeasureLine(draw(k)), EmpiricalMeasureLine(draw(k * m))
+        assert _d1_to_pooled(sample, pooled) == d1_by_repetition(sample, pooled)
+
+    @pytest.mark.parametrize("size", [7, 2])
+    def test_pool_not_a_multiple_is_refused(self, size):
+        sample = EmpiricalMeasureLine([0.0, 1.0, 2.0])
+        pooled = EmpiricalMeasureLine(np.arange(size, dtype=float))
+        with pytest.raises(ContractError, match="multiple"):
+            _d1_to_pooled(sample, pooled)

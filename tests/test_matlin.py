@@ -27,11 +27,11 @@ def random_hermitian(rng, n):
 
 def random_unitary(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return qr_positive(ComplexMatrix(g))
+    return qr_positive(g)
 
 
 def planted_unitary(rng, angles):
-    v = random_unitary(rng, len(angles)).entries
+    v = random_unitary(rng, len(angles))
     return UnitaryView(v @ np.diag(np.exp(1j * np.asarray(angles))) @ v.conj().T)
 
 
@@ -76,6 +76,17 @@ class TestConstructors:
         with pytest.raises(ContractError):
             HermitianView([[0, 1], [2, 0]])
 
+    def test_hermitian_view_holds_the_exactly_hermitian_part(self):
+        rng = np.random.default_rng(7)
+        a = random_hermitian(rng, 6).entries
+        u = random_unitary(rng, 6)
+        raw = u @ a @ u.conj().T  # Hermitian to roundoff only
+        assert not np.array_equal(raw, raw.conj().T)
+        held = HermitianView(raw).entries
+        assert np.array_equal(held, held.conj().T)  # == holds exactly, entry by entry
+        # an exactly Hermitian input comes back bit for bit
+        assert HermitianView(held).entries.tobytes() == held.tobytes()
+
     def test_unitary_view_rejects_scaled_identity(self):
         with pytest.raises(ContractError):
             UnitaryView(2 * np.eye(3))
@@ -96,40 +107,41 @@ def test_matrix_unpickles_certified_and_read_only(cls):
 
 class TestHsNorm:
     def test_identity(self):
-        assert hs_norm(ComplexMatrix(np.eye(3))) == pytest.approx(np.sqrt(3), abs=1e-14)
+        assert hs_norm(np.eye(3)) == pytest.approx(np.sqrt(3), abs=1e-14)
 
     def test_zero(self):
-        assert hs_norm(ComplexMatrix(np.zeros((2, 2)))) == 0.0
+        assert hs_norm(np.zeros((2, 2))) == 0.0
 
     def test_two_unit_entries(self):
-        assert hs_norm(ComplexMatrix([[0, 1], [1, 0]])) == pytest.approx(np.sqrt(2), abs=1e-14)
+        assert hs_norm(np.array([[0, 1], [1, 0]])) == pytest.approx(np.sqrt(2), abs=1e-14)
 
 
 class TestQrPositive:
     @staticmethod
     def r_factor(q, g):
         """R = Q* G, the factor qr_positive leaves implicit."""
-        return q.entries.conj().T @ g.entries
+        return q.conj().T @ g
 
     def test_identity(self):
-        g = ComplexMatrix(np.eye(3))
+        g = np.eye(3)
         q = qr_positive(g)
-        assert np.allclose(q.entries, np.eye(3))
+        assert np.allclose(q, np.eye(3))
         assert np.allclose(self.r_factor(q, g), np.eye(3))
 
     def test_negative_scalar_phase_goes_to_q(self):
-        g = ComplexMatrix([[-2.0]])
+        g = np.array([[-2.0]])
         q = qr_positive(g)
-        assert q.entries[0, 0] == pytest.approx(-1.0)
+        assert q[0, 0] == pytest.approx(-1.0)
         assert self.r_factor(q, g)[0, 0] == pytest.approx(2.0)
 
     def test_reconstruction_and_positive_diagonal(self):
         rng = np.random.default_rng(3)
-        g = ComplexMatrix(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q = qr_positive(g)
-        assert isinstance(q, UnitaryView)
+        assert type(q) is np.ndarray
+        UnitaryView(q)  # the certificate its sampler runs
         r = self.r_factor(q, g)
-        assert hs_norm(q.entries @ r - g.entries) <= 1e-12 * hs_norm(g)
+        assert hs_norm(q @ r - g) <= 1e-12 * hs_norm(g)
         d = np.diagonal(r)
         assert np.all(d.real > 0)
         assert np.allclose(d.imag, 0, atol=1e-14)
@@ -137,7 +149,7 @@ class TestQrPositive:
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(DegenerateInputError):
-            qr_positive(ComplexMatrix(np.zeros((2, 2))))
+            qr_positive(np.zeros((2, 2)))
 
 
 class TestEigHermitian:
@@ -155,7 +167,7 @@ class TestEigHermitian:
             a = random_hermitian(rng, 6)
             vals = eig_hermitian(a).atoms
             assert np.sum(vals) == pytest.approx(np.trace(a.entries).real, rel=1e-9)
-            assert np.sum(vals**2) == pytest.approx(hs_norm(a) ** 2, rel=1e-9)
+            assert np.sum(vals**2) == pytest.approx(hs_norm(a.entries) ** 2, rel=1e-9)
 
 
 class TestEigUnitaryAngles:
@@ -178,7 +190,7 @@ class TestEigUnitaryAngles:
             n = int(rng.integers(2, 10))
             target = np.sort(rng.uniform(0, TWO_PI, n))
             v = random_unitary(rng, n)
-            u = UnitaryView(v.entries @ np.diag(np.exp(1j * target)) @ v.entries.conj().T)
+            u = UnitaryView(v @ np.diag(np.exp(1j * target)) @ v.conj().T)
             got = eig_unitary_angles(u).atoms
             # compare as multisets on the circle
             diff = np.abs(np.sort(got) - target)

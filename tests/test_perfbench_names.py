@@ -55,7 +55,8 @@ def test_every_name_the_metrics_read_is_traced():
                for source, wanted in read.items() if set(wanted) - names}
     assert not missing, f"names read but never traced: {missing}"
     assert out["layers_read"]
-    assert set(out["layers_read"]) <= set(out["layers"])
+    untraced = sorted(set(out["layers_read"]) - set(out["layers"]))
+    assert not untraced, f"per_layer reads layers no traced function belongs to: {untraced}"
     # samplers reached through the ensemble table are traced too, so their
     # draws count in ensembles.draws and Sp(n)'s time in ensembles.symplectic_s
     assert {"ensembles.haar_symplectic", "ensembles.haar_unitary",
