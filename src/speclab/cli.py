@@ -249,16 +249,14 @@ def records_to_csv(records) -> str:
 
 
 def _environment(heap_held: bool) -> dict:
-    """The manifest's record of what ran a plan: the Python, numpy and scipy
+    """The manifest's record of what ran a plan: the Python and numpy
     versions, the thread variables set, the usable CPUs and whether the heap
-    is held.  scipy's version is that of the scipy this process loaded, or
-    None when the run never imported it."""
+    is held.  A plan never imports scipy, so it has no version here."""
     from .experiments import usable_cpus
 
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "threads": {name: os.environ[name] for name in THREAD_VARS if name in os.environ},
         "nproc": usable_cpus(),
         "heap_held": heap_held,

@@ -216,7 +216,10 @@ def compress(a: HermitianView, u: UnitaryView, k: int) -> HermitianView:
         raise ContractError(f"dimension mismatch: A is {n}, U is {u.dim}")
     if not 1 <= k <= n:
         raise ContractError(f"k must be in 1..{n}, got {k}")
-    return HermitianView((u.entries @ a.entries @ u.entries.conj().T)[:k, :k])
+    m = (u.entries @ a.entries @ u.entries.conj().T)[:k, :k]
+    # the view's tolerance scales with the block's own norm, which can sit far
+    # below the roundoff of the n-by-n product (k = 1 and Re m near 0): project first
+    return HermitianView((m + m.conj().T) / 2.0)
 
 
 def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> HermitianView:
@@ -226,7 +229,9 @@ def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> Hermit
         raise ContractError(
             f"dimension mismatch: A is {n}, B is {b.dim}, U is {u.dim}"
         )
-    return HermitianView(u.entries @ a.entries @ u.entries.conj().T + b.entries)
+    m = u.entries @ a.entries @ u.entries.conj().T + b.entries
+    # project first: where A and B cancel, the sum's norm sits far below its roundoff
+    return HermitianView((m + m.conj().T) / 2.0)
 
 
 ENSEMBLES = {

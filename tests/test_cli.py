@@ -951,12 +951,14 @@ def modules_loaded_by_command(tmp_path_factory):
 
 def test_cli_commands_load_no_scipy(modules_loaded_by_command):
     # scipy costs about a second to import; commands that never reach
-    # quadrature, the assignment oracle or the KS test must not pay for it
-    scipy = {command: loaded["scipy"] for command, loaded
-             in modules_loaded_by_command.items()}
-    scipy.pop("distance-semicircle")
-    assert scipy == {
-        "import": [], "sample": [], "distance": [], "manifest-check": [], "experiment": []}
+    # quadrature, the assignment oracle or the KS test must not pay for it.
+    # Nor may they read installed package metadata, which imports the email
+    # package and costs peak memory.
+    loaded = dict(modules_loaded_by_command)
+    loaded.pop("distance-semicircle")
+    assert {command: (m["scipy"], m["importlib_metadata"]) for command, m in loaded.items()} == {
+        command: ([], False)
+        for command in ("import", "sample", "distance", "manifest-check", "experiment")}
 
 
 def test_semicircle_distance_loads_only_the_quadpack_extension(modules_loaded_by_command):
@@ -978,16 +980,6 @@ def test_one_shot_commands_load_no_experiment_stack(modules_loaded_by_command):
     assert "speclab.experiments" in stack.pop("experiment")
     stack.pop("distance-semicircle")  # runs after experiment
     assert stack == {"import": [], "sample": [], "distance": [], "manifest-check": []}
-
-
-def test_experiment_loads_no_package_metadata(modules_loaded_by_command):
-    # the manifest records the scipy this process loaded; reading the installed
-    # metadata instead imports the email package and costs peak memory
-    loaded = {command: loaded["importlib_metadata"] for command, loaded
-              in modules_loaded_by_command.items()}
-    loaded.pop("distance-semicircle")  # runs last, and loads scipy
-    assert loaded == {"import": False, "sample": False, "distance": False,
-                      "manifest-check": False, "experiment": False}
 
 
 def test_import_loads_no_numpy_random(modules_loaded_by_command):
@@ -1050,7 +1042,6 @@ def test_held_heap_changes_no_byte(tmp_path, ensemble):
         assert (out / "records.csv").read_bytes() == library.stdout
         environment = json.loads((out / "manifest.json").read_text())["environment"]
         assert environment["heap_held"] is glibc()
-        assert environment["scipy"] is None  # the run never imported scipy
 
 
 def minor_faults(*argv) -> int:

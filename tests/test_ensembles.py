@@ -286,6 +286,16 @@ class TestCompress:
         with pytest.raises(ContractError):
             compress(a, u, 2)
 
+    def test_block_below_the_product_roundoff_is_accepted(self):
+        # U's first row v has v* A v = 0, so the 1x1 block is pure roundoff
+        # of the 2x2 product, with an imaginary part of its own size
+        a = HermitianView([[0.5, 0.3 + 0.7j], [0.3 - 0.7j, -0.9]])
+        t, z = 1.0298238080910447, np.exp(0.5j)
+        u = UnitaryView([[np.cos(t), np.sin(t) * z], [-np.sin(t) * np.conj(z), np.cos(t)]])
+        raw = (u.entries @ a.entries @ u.entries.conj().T)[0, 0]
+        assert abs(raw.imag) > 1e-12 * abs(raw)  # the raw block is no Hermitian view
+        assert compress(a, u, 1).entries.tobytes() == np.array([[raw.real]], dtype=complex).tobytes()
+
 
 class TestRandomizedSum:
     def test_zero_a_gives_b(self):
@@ -293,6 +303,15 @@ class TestRandomizedSum:
         u = haar_unitary(5, key("rs_u", 5))
         m = randomized_sum(HermitianView(np.zeros((5, 5))), b, u)
         assert np.allclose(m.entries, b.entries)
+
+    def test_cancelling_sum_is_accepted(self):
+        # B cancels U A U*'s real part: the 1x1 sum is the product's roundoff
+        a = HermitianView([[0.3]])
+        u = UnitaryView([[np.exp(0.5j)]])
+        raw = (u.entries @ a.entries @ u.entries.conj().T)[0, 0]
+        assert raw.imag != 0.0  # the raw sum would be no Hermitian view
+        m = randomized_sum(a, HermitianView([[-raw.real]]), u)
+        assert m.entries.tobytes() == np.zeros((1, 1), dtype=complex).tobytes()
 
     def test_identity_u_gives_plain_sum(self):
         a = gue_wigner(5, key("rs_a", 5))
