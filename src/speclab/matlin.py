@@ -44,7 +44,7 @@ class ComplexMatrix:
             raise ContractError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ContractError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ContractError("matrix entries must be finite")
         arr.setflags(write=False)
         self.entries = arr
@@ -59,8 +59,8 @@ class ComplexMatrix:
 
 class HermitianView(ComplexMatrix):
     """A ComplexMatrix certified Hermitian: ||A - A*|| <= 1e-12 ||A|| in HS
-    norm for the entries as given.  It then holds their exactly Hermitian
-    part (A + A*) / 2, which leaves an exactly Hermitian input bit for bit."""
+    norm.  It holds the entries as given; eigvalsh reads one triangle, so
+    the code that builds a matrix makes it exactly Hermitian."""
 
     __slots__ = ()
 
@@ -73,9 +73,6 @@ class HermitianView(ComplexMatrix):
             raise ContractError(
                 f"matrix is not Hermitian: ||A - A*|| = {defect:.3e} vs ||A|| = {scale:.3e}"
             )
-        h = (a + a.conj().T) / 2.0
-        h.setflags(write=False)
-        self.entries = h
 
 
 class UnitaryView(ComplexMatrix):

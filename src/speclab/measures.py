@@ -13,50 +13,48 @@ from .errors import ContractError
 TWO_PI = 2.0 * np.pi
 
 
-class EmpiricalMeasureCircle:
+class _EmpiricalMeasure:
+    """Uniform measure on n sorted, finite, read-only atoms: the one
+    constructor of both domains, whose messages name the subclass's noun."""
+
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms):
+        arr = np.asarray(atoms, dtype=np.float64)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ContractError(f"need a nonempty 1-D array of {self.noun}")
+        arr = np.sort(arr)
+        if not np.all(np.isfinite(arr)):
+            raise ContractError(f"{self.noun} must be finite")
+        arr.setflags(write=False)
+        self.atoms = arr
+
+    def __len__(self):
+        return self.atoms.size
+
+    def __reduce__(self):  # unpickled atoms are revalidated and read-only
+        return type(self), (self.atoms,)
+
+
+class EmpiricalMeasureCircle(_EmpiricalMeasure):
     """Uniform measure on n angle atoms in [0, 2*pi)."""
 
     domain = "circle"
-    __slots__ = ("atoms",)
+    noun = "angles"
+    __slots__ = ()
 
     def __init__(self, angles):
-        ang = np.sort(np.asarray(angles, dtype=np.float64))
-        if ang.ndim != 1 or ang.size < 1:
-            raise ContractError("need a nonempty 1-D array of angles")
-        if not np.all(np.isfinite(ang)):
-            raise ContractError("angles must be finite")
-        if ang[0] < 0.0 or ang[-1] >= TWO_PI:
+        super().__init__(angles)
+        if self.atoms[0] < 0.0 or self.atoms[-1] >= TWO_PI:
             raise ContractError("angles must lie in [0, 2*pi)")
-        ang.setflags(write=False)
-        self.atoms = ang
-
-    def __len__(self):
-        return self.atoms.size
-
-    def __reduce__(self):  # unpickled atoms are revalidated and read-only
-        return type(self), (self.atoms,)
 
 
-class EmpiricalMeasureLine:
+class EmpiricalMeasureLine(_EmpiricalMeasure):
     """Uniform measure on n real atoms."""
 
     domain = "line"
-    __slots__ = ("atoms",)
-
-    def __init__(self, values):
-        vals = np.sort(np.asarray(values, dtype=np.float64))
-        if vals.ndim != 1 or vals.size < 1:
-            raise ContractError("need a nonempty 1-D array of values")
-        if not np.all(np.isfinite(vals)):
-            raise ContractError("values must be finite")
-        vals.setflags(write=False)
-        self.atoms = vals
-
-    def __len__(self):
-        return self.atoms.size
-
-    def __reduce__(self):  # unpickled atoms are revalidated and read-only
-        return type(self), (self.atoms,)
+    noun = "values"
+    __slots__ = ()
 
 
 def pool(samples):

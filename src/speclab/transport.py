@@ -147,21 +147,14 @@ def w1_line_vs_cdf(m: EmpiricalMeasureLine, ref_cdf, support: tuple[float, float
         raise ContractError(f"support must be a finite interval lo < hi, got {support!r}")
     atoms = m.atoms
     n = atoms.size
-    lo = min(lo, atoms[0])
-    hi = max(hi, atoms[-1])
+    ends = [min(lo, atoms[0]), *atoms, max(hi, atoms[-1])]
     total = 0.0
-    # left tail: F_m = 0
-    if lo < atoms[0]:
-        total += _quad(ref_cdf, lo, atoms[0])
-    # interior segments: F_m = k/n is constant
-    for k in range(1, n):
-        a, b = atoms[k - 1], atoms[k]
+    # F_m = k/n on [ends[k], ends[k + 1]]: 0 on the left tail, 1 on the right
+    for k in range(n + 1):
+        a, b = ends[k], ends[k + 1]
         if b > a:
             level = k / n
             total += _quad(lambda x: abs(level - ref_cdf(x)), a, b)
-    # right tail: F_m = 1
-    if hi > atoms[-1]:
-        total += _quad(lambda x: abs(1.0 - ref_cdf(x)), atoms[-1], hi)
     if not np.isfinite(total):
         raise ContractError("reference CDF is not integrable against the measure")
     return float(total)

@@ -348,6 +348,17 @@ class TestRandomizedSum:
         assert bool(d <= np.sqrt(-np.log(0.005) / 2) * np.sqrt(2 / sums.size)) is accept
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_builders_make_their_matrices_exactly_hermitian(n):
+    # HermitianView holds what it is given and eigvalsh reads one triangle,
+    # so each builder owns the exactness of its matrix
+    a, b, u = randomized_sum_factors(n, key("exact_h", n))
+    views = [a, randomized_sum(a, b, u)]
+    views += [compress(a, u, k) for k in sorted({1, (n + 1) // 2, n})]
+    for v in views:
+        assert np.array_equal(v.entries, v.entries.conj().T)
+
+
 class TestGroupMembership:
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
     def test_unitarity_all_tags(self, n):

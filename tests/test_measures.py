@@ -43,6 +43,29 @@ class TestEsd:
         assert m.atoms[0] >= -2.5 and m.atoms[-1] <= 2.5
 
 
+@pytest.mark.parametrize("cls,noun", [(EmpiricalMeasureLine, "values"),
+                                       (EmpiricalMeasureCircle, "angles")])
+@pytest.mark.parametrize("atoms,message", [
+    ([], "need a nonempty 1-D array of {}"),
+    (0.5, "need a nonempty 1-D array of {}"),
+    ([[0.0]], "need a nonempty 1-D array of {}"),
+    ([np.nan], "{} must be finite"),
+    ([np.inf], "{} must be finite"),
+])
+def test_measure_refusals(cls, noun, atoms, message):
+    with pytest.raises(ContractError) as exc:
+        cls(atoms)
+    assert str(exc.value) == message.format(noun)
+
+
+@pytest.mark.parametrize("atoms", [[-1e-300], [TWO_PI]])
+def test_only_the_circle_refuses_atoms_outside_0_2pi(atoms):
+    with pytest.raises(ContractError) as exc:
+        EmpiricalMeasureCircle(atoms)
+    assert str(exc.value) == "angles must lie in [0, 2*pi)"
+    assert EmpiricalMeasureLine(atoms).atoms.tolist() == atoms
+
+
 @pytest.mark.parametrize("cls", [EmpiricalMeasureLine, EmpiricalMeasureCircle])
 def test_measure_unpickles_read_only(cls):
     # line spectra come back from worker processes by pickle
