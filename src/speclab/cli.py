@@ -21,6 +21,7 @@ import json
 import os
 import platform
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
@@ -471,6 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one ``warning: <message>`` line, with no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -481,14 +487,16 @@ def main(argv=None) -> int:
     # keep the pages each cell's matrices fault in for the next cell; pool
     # workers hold their own heaps through the pool's initializer
     args.heap_held = hold_heap()
-    try:
-        return args.func(args)
-    except SpeclabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except MemoryError as exc:
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return EXIT_RUNTIME
+    with warnings.catch_warnings():  # restores warnings.showwarning on the way out
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except SpeclabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except MemoryError as exc:
+            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -95,11 +95,11 @@ def ginibre_complex(n: int, key: StreamKey) -> np.ndarray:
 
 
 def ginibre_real(n: int, key: StreamKey) -> np.ndarray:
-    """n-by-n array of i.i.d. real standard normals, as complex128."""
+    """n-by-n float64 array of i.i.d. real standard normals."""
     if n < 1:
         raise ContractError("n must be at least 1")
     rng = key.generator()
-    return rng.standard_normal((n, n)).astype(np.complex128)
+    return rng.standard_normal((n, n))
 
 
 def haar_unitary(n: int, key: StreamKey) -> UnitaryView:

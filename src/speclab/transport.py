@@ -44,15 +44,19 @@ def chordal_distance(theta, phi):
 
 def wp_line(m1: EmpiricalMeasureLine, m2: EmpiricalMeasureLine, p: float = 1.0) -> float:
     """d_p between equal-size empirical line measures via the monotone
-    (sorted) coupling, which is exact in one dimension for p >= 1."""
+    (sorted) coupling, which is exact in one dimension for p >= 1.  A d_p
+    that overflows float64 on the way is refused, not returned as inf."""
     if len(m1) != len(m2):
         raise ContractError(
             f"atom counts differ ({len(m1)} vs {len(m2)}); weighted transport is unsupported"
         )
     if not 1.0 <= p <= 2.0:
         raise ContractError("p must lie in [1, 2]")
-    diffs = np.abs(m1.atoms - m2.atoms)
-    return float(np.mean(diffs**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        value = np.mean(np.abs(m1.atoms - m2.atoms) ** p) ** (1.0 / p)
+    if not np.isfinite(value):
+        raise ContractError(f"d_{p:g} between these measures overflows float64")
+    return float(value)
 
 
 def _h(x):

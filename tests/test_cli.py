@@ -229,6 +229,34 @@ class TestDistanceFlags:
         assert code == 0
 
 
+class TestDistanceOverflow:
+    @pytest.mark.parametrize("xs, ys, flags", [([1e308], [-1e308], []),
+                                               ([1e200, 2e200], [-1e200, 0.0], ["--p", "2"])],
+                             ids=["difference", "power"])
+    def test_overflowing_pair_exits_1(self, tmp_path, capsys, xs, ys, flags):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_line_csv(a, xs)
+        write_line_csv(b, ys)
+        code, out, err = run_cli(capsys, "distance", "--input", str(a),
+                                 "--reference", str(b), *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_warning_prints_as_one_line(self, tmp_path):
+        # a subprocess: in-process, this suite's filterwarnings = error raises the warning
+        path = tmp_path / "wide.csv"
+        path.write_text("replicate,eigenvalue_0\n0,1e308\n1,-1e308\n")
+        proc = subprocess.run([sys.executable, "-c", LAUNCH, "distance", "--input", str(path),
+                               "--reference", "semicircle"],
+                              env=launch_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            "warning: QUADPACK qagse stopped with ier = 2 on [-1e+308, 1e+308]; "
+            "the integral may miss its tolerance",
+            "error: reference CDF is not integrable against the measure",
+        ]
+
+
 def write_plan(path, **overrides):
     plan = {
         "ensemble": "unitary",

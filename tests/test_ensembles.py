@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from speclab import ensembles
 from speclab.ensembles import (
+    DET_TOL,
     ENSEMBLES,
     EnsembleTag,
     compress,
     ginibre_complex,
+    ginibre_real,
     gue_wigner,
     haar_orthogonal,
     haar_so,
@@ -29,6 +32,7 @@ from speclab.matlin import (
     eig_hermitian,
     eig_unitary_angles,
     hs_norm,
+    qr_positive,
 )
 from speclab.measures import EmpiricalMeasureCircle
 from speclab.rng import StreamKey, standard_complex_normal
@@ -121,6 +125,53 @@ class TestRealGroups:
             ang = eig_unitary_angles(haar_so(3, key("so3", 3, r))).atoms
             nearest = min(ang.min(), TWO_PI - ang.max())
             assert nearest < 1e-8
+
+    def test_ginibre_real_is_the_float64_draw(self):
+        for n in (1, 3, 8):
+            k = key("ginibre_real", n)
+            g = ginibre_real(n, k)
+            assert g.dtype == np.float64 and g.shape == (n, n)
+            assert np.array_equal(g, k.generator().standard_normal((n, n)))
+
+    @pytest.mark.parametrize("sampler", [haar_orthogonal, haar_so, haar_so_minus],
+                             ids=["orthogonal", "so", "so_minus"])
+    def test_factors_in_real_arithmetic(self, monkeypatch, sampler):
+        dtypes = []
+
+        def recording(g):
+            dtypes.append(g.dtype)
+            return qr_positive(g)
+
+        monkeypatch.setattr(ensembles, "qr_positive", recording)
+        u = sampler(8, key("real_dtype", 8))
+        assert dtypes == [np.float64] and u.entries.dtype == np.complex128
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64])
+    @pytest.mark.parametrize("sampler, target", [(haar_orthogonal, None), (haar_so, 1.0),
+                                                 (haar_so_minus, -1.0)],
+                             ids=["orthogonal", "so", "so_minus"])
+    def test_matches_the_complex_route(self, sampler, target, n):
+        # the oracle is the route before the real QR: the same draw, cast to
+        # complex128, factored, and given the same determinant sign
+        for r in range(4):
+            k = key(sampler.__name__, n, r)
+            q = qr_positive(k.generator().standard_normal((n, n)).astype(np.complex128))
+            if target is not None and det_lu(q).real * target < 0:
+                q[:, -1] = -q[:, -1]
+            expected = UnitaryView(q)
+            got = sampler(n, k)
+            assert np.max(np.abs(got.entries - expected.entries)) <= 1e-13
+            det = det_lu(got.entries)
+            want = target if target is not None else np.sign(det_lu(q).real)
+            assert abs(det - want) <= DET_TOL
+            ang = eig_unitary_angles(got).atoms
+            diff = np.abs(ang - eig_unitary_angles(expected).atoms)
+            assert np.max(np.minimum(diff, TWO_PI - diff)) <= 1e-12
+            # det = 1 at odd n forces the eigenvalue 1, det = -1 forces -1 at odd n
+            if n % 2 and target is not None:
+                forced = 0.0 if target > 0 else np.pi
+                dist = np.abs(ang - forced)
+                assert np.min(np.minimum(dist, TWO_PI - dist)) <= 1e-8
 
 
 class TestHaarSu:

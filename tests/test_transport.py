@@ -53,6 +53,22 @@ class TestWpLine:
         with pytest.raises(ContractError):
             wp_line(EmpiricalMeasureLine([0.0]), EmpiricalMeasureLine([0.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("xs, ys, p", [([1e308], [-1e308], 1.0),
+                                           ([1e200, 2e200], [-1e200, 0.0], 2.0)],
+                             ids=["difference", "power"])
+    def test_overflow_refused(self, xs, ys, p):
+        with pytest.raises(ContractError, match="overflows float64"):
+            wp_line(EmpiricalMeasureLine(xs), EmpiricalMeasureLine(ys), p)
+
+    def test_finite_results_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-150, 1.0, 1e150):
+            for p in (1.0, 1.5, 2.0):
+                x, y = scale * rng.normal(size=17), scale * rng.normal(size=17)
+                m1, m2 = EmpiricalMeasureLine(x), EmpiricalMeasureLine(y)
+                expected = float(np.mean(np.abs(m1.atoms - m2.atoms) ** p) ** (1.0 / p))
+                assert wp_line(m1, m2, p) == expected
+
     @given(
         xs=st.lists(st.floats(-50, 50), min_size=1, max_size=8),
         ys=st.lists(st.floats(-50, 50), min_size=1, max_size=8),
