@@ -2,8 +2,10 @@
 experiment plans, and verifying property suites.
 
 Exit codes: 0 success/verified, 1 runtime or data error, 2 usage or schema
-error.  The environment variable SPECLAB_SEED overrides a plan's seed;
-explicit --seed flags override both.
+error.  Commands refuse by raising: ``main`` alone prints the one
+``error: <message>`` line, and exits 2 for a ``UsageError`` and 1 for any
+other ``SpeclabError`` or a ``MemoryError``.  The environment variable
+SPECLAB_SEED overrides a plan's seed; explicit --seed flags override both.
 
 ``experiments``, and with it the process pool, is imported only inside the
 commands that run plans or property suites (``experiment`` and ``verify``),
@@ -53,6 +55,11 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 FLOAT_FMT = "%.17g"
+
+
+class UsageError(SpeclabError):
+    """A refusal of the command line or the plan it names: exit 2."""
+
 
 # the BLAS and OpenMP thread counts a run inherits; manifest.json records those set
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -105,9 +112,8 @@ def cmd_sample(args) -> int:
     row = ENSEMBLES[tag]  # argparse choices leave only rows with a sampler
     n = 2 * args.n if row.half_dimension else args.n  # ambient dimension
     if n > MAX_DIMENSION:
-        print(f"error: --n {args.n} gives ambient dimension {n}, above the largest "
-              f"supported, {MAX_DIMENSION}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--n {args.n} gives ambient dimension {n}, above the largest "
+                         f"supported, {MAX_DIMENSION}")
     colname = "angle" if row.domain == "circle" else "eigenvalue"
     started = _utcnow()
     spectra = [row.spectrum(n, StreamKey(args.seed, tag.value, n, r)).atoms
@@ -139,8 +145,7 @@ def cmd_sample(args) -> int:
         _write_whole(args.out, payload)
         _write_json(sidecar, manifest)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ContractError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 
@@ -178,34 +183,29 @@ def _read_spectrum_csv(path: str):
 
 
 def cmd_distance(args) -> int:
-    try:
-        domain, atoms = _read_spectrum_csv(args.input)
-        pair = args.reference not in ("uniform-circle", "semicircle")
-        if args.p != 1.0 and not (pair and domain == "line"):
-            print("error: --p applies only to a pair of line spectra", file=sys.stderr)
-            return EXIT_USAGE
-        if args.reference == "uniform-circle":
-            if domain != "circle":
-                raise ContractError("uniform-circle reference needs angle spectra")
-            value = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
-        elif args.reference == "semicircle":
-            if domain != "line":
-                raise ContractError("semicircle reference needs line spectra")
-            value = w1_line_vs_cdf(EmpiricalMeasureLine(atoms), semicircle_cdf,
-                                   support=(-2.0, 2.0))
+    domain, atoms = _read_spectrum_csv(args.input)
+    pair = args.reference not in ("uniform-circle", "semicircle")
+    if args.p != 1.0 and not (pair and domain == "line"):
+        raise UsageError("--p applies only to a pair of line spectra")
+    if args.reference == "uniform-circle":
+        if domain != "circle":
+            raise ContractError("uniform-circle reference needs angle spectra")
+        value = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
+    elif args.reference == "semicircle":
+        if domain != "line":
+            raise ContractError("semicircle reference needs line spectra")
+        value = w1_line_vs_cdf(EmpiricalMeasureLine(atoms), semicircle_cdf,
+                               support=(-2.0, 2.0))
+    else:
+        ref_domain, ref_atoms = _read_spectrum_csv(args.reference)
+        if ref_domain != domain:
+            raise ContractError("input and reference spectra live on different domains")
+        if domain == "circle":
+            value = w1_circle_pair(EmpiricalMeasureCircle(atoms),
+                                   EmpiricalMeasureCircle(ref_atoms))
         else:
-            ref_domain, ref_atoms = _read_spectrum_csv(args.reference)
-            if ref_domain != domain:
-                raise ContractError("input and reference spectra live on different domains")
-            if domain == "circle":
-                value = w1_circle_pair(EmpiricalMeasureCircle(atoms),
-                                       EmpiricalMeasureCircle(ref_atoms))
-            else:
-                value = wp_line(EmpiricalMeasureLine(atoms),
-                                EmpiricalMeasureLine(ref_atoms), args.p)
-    except SpeclabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+            value = wp_line(EmpiricalMeasureLine(atoms),
+                            EmpiricalMeasureLine(ref_atoms), args.p)
     if domain == "circle":
         # (2/pi) geo <= chord <= geo pointwise, so the geodesic W1 brackets the chordal one
         out = {"metric": "circle_geodesic", "algorithm": "circle_cdf",
@@ -272,23 +272,20 @@ def cmd_experiment(args) -> int:
     # ValueError: not UTF-8, not JSON, or an integer longer than Python converts;
     # RecursionError: arrays or objects nested deeper than json.load descends
     except (ContractError, OSError, ValueError, RecursionError) as exc:
-        print(f"error: invalid plan: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"invalid plan: {exc}") from exc
 
     started = _utcnow()
     manifest_path = os.path.join(args.out, "manifest.json")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ContractError(f"cannot create {args.out}: {exc}") from exc
     # an earlier run's manifest would vouch for its files after this run fails
     try:
         with contextlib.suppress(FileNotFoundError):
             os.remove(manifest_path)
     except OSError as exc:
-        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ContractError(f"cannot write to {args.out}: {exc}") from exc
     rate = run_rate_experiment(plan, workers=args.workers)
 
     csv_payload = records_to_csv(rate.records)
@@ -308,8 +305,7 @@ def cmd_experiment(args) -> int:
         }
         _write_json(manifest_path, manifest)
     except OSError as exc:
-        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ContractError(f"cannot write to {args.out}: {exc}") from exc
 
     print(f"ensemble={plan.ensemble.value} records={len(rate.records)}")
     if not plan.t_grid and rate.fit is not None:
@@ -333,11 +329,9 @@ def cmd_manifest_check(args) -> int:
                 print(f"manifest check FAILED: {name} hash mismatch", file=sys.stderr)
                 return EXIT_RUNTIME
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ContractError(str(exc)) from exc
     except (ContractError, ValueError, RecursionError) as exc:  # as for a plan file
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise ContractError(f"{path}: {exc}") from exc
     print("manifest check OK")
     return EXIT_OK
 
@@ -393,31 +387,31 @@ def _verify_group_membership(trials: int, seed: int) -> int:
     return bad
 
 
+def _verify_lipschitz(trials: int, seed: int) -> int:
+    """The Lipschitz suite's violations; any are reported per inequality on stderr."""
+    from .experiments import run_lipschitz_suite
+
+    report = run_lipschitz_suite(trials, 16, seed)
+    if report.total:
+        print(f"lipschitz: {report}", file=sys.stderr)
+    return report.total
+
+
+# each suite maps (trials, seed) to its count of violations
+SUITES = {
+    "lipschitz": _verify_lipschitz,
+    "transport-oracle": _verify_transport_oracle,
+    "group-membership": _verify_group_membership,
+}
+
+
 def cmd_verify(args) -> int:
     # the suites seed numpy's default_rng, which refuses a negative seed
     if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
-    from .experiments import run_lipschitz_suite
-
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     total = 0
-    suites = [args.suite] if args.suite != "all" else [
-        "lipschitz", "transport-oracle", "group-membership",
-    ]
-    for suite in suites:
-        if suite == "lipschitz":
-            report = run_lipschitz_suite(args.trials, 16, args.seed)
-            bad = report.total
-            if bad:
-                print(f"lipschitz: {report}", file=sys.stderr)
-        elif suite == "transport-oracle":
-            bad = _verify_transport_oracle(args.trials, args.seed)
-            if bad:
-                print(f"transport-oracle: {bad} mismatches", file=sys.stderr)
-        else:  # group-membership
-            bad = _verify_group_membership(args.trials, args.seed)
-            if bad:
-                print(f"group-membership: {bad} failures", file=sys.stderr)
+    for suite in SUITES if args.suite == "all" else [args.suite]:
+        bad = SUITES[suite](args.trials, args.seed)
         print(f"{suite}: {'OK' if bad == 0 else f'{bad} violations'}")
         total += bad
     return EXIT_OK if total == 0 else EXIT_RUNTIME
@@ -465,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", required=True,
-                   choices=["lipschitz", "transport-oracle", "group-membership", "all"])
+                   choices=[*SUITES, "all"])
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_verify)
@@ -478,25 +472,25 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for flag in ("n", "count", "workers", "trials"):  # the flags that count something
-        if (value := getattr(args, flag, 1)) < 1:
-            print(f"error: --{flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
-    # keep the pages each cell's matrices fault in for the next cell; pool
-    # workers hold their own heaps through the pool's initializer
-    args.heap_held = hold_heap()
+    """Run one command: the one place that prints ``error:`` and picks exit 1 or 2."""
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():  # restores warnings.showwarning on the way out
         warnings.showwarning = _show_warning
         try:
+            for flag in ("n", "count", "workers", "trials"):  # the flags that count something
+                if (value := getattr(args, flag, 1)) < 1:
+                    raise UsageError(f"--{flag} must be at least 1, got {value}")
+            # keep the pages each cell's matrices fault in for the next cell; pool
+            # workers hold their own heaps through the pool's initializer
+            args.heap_held = hold_heap()
             return args.func(args)
         except SpeclabError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            message = str(exc)
+            code = EXIT_USAGE if isinstance(exc, UsageError) else EXIT_RUNTIME
         except MemoryError as exc:
-            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-            return EXIT_RUNTIME
+            message, code = "out of memory" + (f": {exc}" if str(exc) else ""), EXIT_RUNTIME
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

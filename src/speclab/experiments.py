@@ -16,6 +16,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -297,12 +298,10 @@ def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled: EmpiricalMeasureLine) ->
     return float(np.mean(np.abs(pooled.atoms.reshape(-1, m) - sample.atoms[:, None])))
 
 
-def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray) -> float:
-    """1.0 if the sorted spectrum em of U A U* + B escapes the Weyl interval
-    [min(A)+min(B), max(A)+max(B)] by more than the slack, else 0.0."""
-    slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
-    lo, hi = ea[0] + eb[0] - slack, ea[-1] + eb[-1] + slack
-    return 0.0 if (em[0] >= lo and em[-1] <= hi) else 1.0
+def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray, slack: float) -> bool:
+    """Whether the sorted spectrum em of U A U* + B escapes the Weyl interval
+    [min(A)+min(B), max(A)+max(B)] by more than slack."""
+    return not (em[0] >= ea[0] + eb[0] - slack and em[-1] <= ea[-1] + eb[-1] + slack)
 
 
 def _cell(task) -> dict:
@@ -335,8 +334,9 @@ def _cell(task) -> dict:
         a, b, u = randomized_sum_factors(n, key)
         out = {"spectrum": eig_hermitian(randomized_sum(a, b, u))}
         if r >= plan.replicates:
-            out["weyl_violation"] = _weyl_violation(eig_hermitian(a).atoms, eig_hermitian(b).atoms,
-                                                    out["spectrum"].atoms)
+            ea, eb = eig_hermitian(a).atoms, eig_hermitian(b).atoms
+            slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
+            out["weyl_violation"] = float(_weyl_violation(ea, eb, out["spectrum"].atoms, slack))
         return out
     except SpeclabError as exc:
         # the CLI prints only the message, from whichever process ran the cell
@@ -358,7 +358,11 @@ def _parallel_map(fn, items, workers: int):
     if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers, initializer=hold_heap) as pool_:
-        return list(pool_.map(fn, items, chunksize=16))
+        try:
+            return list(pool_.map(fn, items, chunksize=16))
+        except BrokenProcessPool:
+            raise SpeclabError(
+                "a worker process ended abruptly (killed, or out of memory)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +499,6 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
         if hs_norm(uau[:k, :k] - vav[:k, :k]) > delta * uv + slack:
             comp += 1
 
-        em = eig_hermitian(randomized_sum(a, b, u)).atoms
-        if em[0] < ea[0] + eb[0] - slack or em[-1] > ea[-1] + eb[-1] + slack:
+        if _weyl_violation(ea, eb, eig_hermitian(randomized_sum(a, b, u)).atoms, slack):
             weyl += 1
     return LipschitzReport(trials, hw, conj, comp, weyl)

@@ -1,5 +1,7 @@
+import ast
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -303,6 +305,32 @@ class TestExperiment:
         with pytest.raises(NumericalFailureError) as exc:
             run_rate_experiment(cli.load_plan(str(plan)), workers=workers)
         assert str(exc.value) == message
+
+    @pytest.mark.skipif(experiments.usable_cpus() < 2
+                        or multiprocessing.get_start_method() != "fork",
+                        reason="needs 2 usable CPUs and forked workers, which inherit the patch")
+    @pytest.mark.parametrize("failure,message", [
+        ("dies", "a worker process ended abruptly (killed, or out of memory)"),
+        ("raises", "unitary n=8 replicate=3: Cayley transform is singular at every fixed shift"),
+    ], ids=["dies", "raises"])
+    def test_failed_worker_ends_in_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                  failure, message):
+        plan, outdir = write_plan(tmp_path / "plan.json"), tmp_path / "run"
+        argv = ["experiment", "--plan", str(plan), "--out", str(outdir), "--workers", "2"]
+        assert run_cli(capsys, *argv)[0] == 0  # an earlier run's manifest to remove
+        draw = ensembles.haar_unitary
+
+        def fail_at_8_3(n, key):
+            if (key.n, key.replicate) == (8, 3):
+                if failure == "dies":
+                    os._exit(3)
+                raise NumericalFailureError("Cayley transform is singular at every fixed shift")
+            return draw(n, key)
+
+        monkeypatch.setattr(ensembles, "haar_unitary", fail_at_8_3)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+        assert not (outdir / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_manifest_check_roundtrip(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json")
@@ -750,6 +778,58 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "group-membership",
                                "--trials", "20", "--seed", "3")
         assert (code, out) == (1, f"group-membership: {violations} violations\n")
+
+
+    def test_failing_transport_oracle_prints_only_its_count(self, capsys, monkeypatch):
+        exact = cli.w1_circle_pair
+        monkeypatch.setattr(cli, "w1_circle_pair", lambda m1, m2: exact(m1, m2) + 1.0)
+        code, out, err = run_cli(capsys, "verify", "--suite", "transport-oracle",
+                                 "--trials", "20", "--seed", "3")
+        assert (code, out, err) == (1, "transport-oracle: 20 violations\n", "")
+
+    @pytest.mark.parametrize("name,fake", [("haar_so", refuse_to_sample),
+                                           ("sample_coe", ensembles.haar_unitary)],
+                             ids=["so-certificate-fails", "coe-not-symmetric"])
+    def test_failing_group_membership_prints_only_its_count(self, capsys, monkeypatch,
+                                                            name, fake):
+        monkeypatch.setattr(ensembles, name, fake)
+        code, out, err = run_cli(capsys, "verify", "--suite", "group-membership",
+                                 "--trials", "20", "--seed", "3")
+        assert (code, out, err) == (1, "group-membership: 20 violations\n", "")
+
+    def test_failing_lipschitz_reports_each_inequality_on_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "wp_line", lambda a, b, p: 1e9)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lipschitz",
+                                 "--trials", "20", "--seed", "3")
+        assert (code, out) == (1, "lipschitz: 20 violations\n")
+        assert err == ("lipschitz: LipschitzReport(trials=20, hw_violations=20, "
+                       "conjugation_violations=0, compression_violations=0, "
+                       "weyl_violations=0)\n")
+
+
+def cli_nodes_outside_main() -> list:
+    """Every AST node of cli.py that lies outside the body of ``main``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "src", "speclab", "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "main"
+              for node in ast.walk(top)}
+    return [node for node in ast.walk(tree) if id(node) not in inside]
+
+
+def test_only_main_prints_error_lines_or_exits_2():
+    nodes = cli_nodes_outside_main()
+    # an f-string's literal parts are Constants too; only its head can start the line
+    tails = {id(part) for node in nodes if isinstance(node, ast.JoinedStr)
+             for part in node.values[1:]}
+    error_lines = [node.lineno for node in nodes
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value.startswith("error:") and id(node) not in tails]
+    exit_2 = [node.lineno for node in nodes if isinstance(node, ast.Name)
+              and node.id == "EXIT_USAGE" and isinstance(node.ctx, ast.Load)]
+    assert (error_lines, exit_2) == ([], [])
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
