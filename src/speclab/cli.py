@@ -37,6 +37,7 @@ from .matlin import hold_heap, hs_norm
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from .rng import StreamKey
 from .transport import (
+    ORACLE_MAX_ATOMS,
     assignment_oracle,
     geodesic_distance,
     line_distance,
@@ -183,6 +184,8 @@ def _read_spectrum_csv(path: str):
 
 
 def cmd_distance(args) -> int:
+    if not 1.0 <= args.p <= 2.0:
+        raise UsageError(f"--p must lie in [1, 2], got {args.p!r}")
     domain, atoms = _read_spectrum_csv(args.input)
     pair = args.reference not in ("uniform-circle", "semicircle")
     if args.p != 1.0 and not (pair and domain == "line"):
@@ -340,25 +343,34 @@ def cmd_manifest_check(args) -> int:
 # verify
 
 
+def _repeated(m, count: int):
+    """The same measure on count atoms: each atom of m repeated count/len(m) times."""
+    return type(m)(np.repeat(m.atoms, count // len(m)))
+
+
 def _verify_transport_oracle(trials: int, seed: int) -> int:
-    rng = np.random.default_rng(seed)
+    """Each trial checks four pairs against the assignment oracle: a circle
+    and a line pair of equal counts, then, on atoms repeated to a common
+    count of at most ORACLE_MAX_ATOMS, a circle pair of any counts and a
+    line pair whose counts divide one another."""
+    rng = StreamKey(seed, "verify/transport-oracle", ORACLE_MAX_ATOMS).generator()
     bad = 0
     for _ in range(trials):
         n = int(rng.integers(1, 9))
-        a1 = rng.uniform(0, 2 * np.pi, n)
-        a2 = rng.uniform(0, 2 * np.pi, n)
-        m1, m2 = EmpiricalMeasureCircle(a1), EmpiricalMeasureCircle(a2)
-        v_cdf = w1_circle_pair(m1, m2)
-        v_orc = assignment_oracle(m1, m2, geodesic_distance, 1.0)
-        if abs(v_cdf - v_orc) > 1e-9:
-            bad += 1
-        x1, x2 = rng.normal(size=n), rng.normal(size=n)
-        l1, l2 = EmpiricalMeasureLine(x1), EmpiricalMeasureLine(x2)
-        p = float(rng.uniform(1.0, 2.0))
-        w_srt = wp_line(l1, l2, p)
-        w_orc = assignment_oracle(l1, l2, line_distance, p)
-        if abs(w_srt - w_orc) > 1e-9:
-            bad += 1
+        size = int(rng.integers(1, ORACLE_MAX_ATOMS + 1))
+        k1, k2 = rng.choice([k for k in range(1, size + 1) if size % k == 0], 2)
+        c1, c2, c3, c4 = (EmpiricalMeasureCircle(rng.uniform(0, 2 * np.pi, k))
+                          for k in (n, n, k1, k2))
+        l1, l2, l3, l4 = (EmpiricalMeasureLine(rng.normal(size=k)) for k in (n, n, k1, size))
+        p, q = rng.uniform(1.0, 2.0, 2)
+        pairs = [
+            (w1_circle_pair(c1, c2), assignment_oracle(c1, c2, geodesic_distance, 1.0)),
+            (wp_line(l1, l2, p), assignment_oracle(l1, l2, line_distance, p)),
+            (w1_circle_pair(c3, c4), assignment_oracle(_repeated(c3, size), _repeated(c4, size),
+                                                       geodesic_distance, 1.0)),
+            (wp_line(l4, l3, q), assignment_oracle(l4, _repeated(l3, size), line_distance, q)),
+        ]
+        bad += sum(abs(fast - exact) > 1e-9 for fast, exact in pairs)
     return bad
 
 
@@ -406,9 +418,6 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    # the suites seed numpy's default_rng, which refuses a negative seed
-    if args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     total = 0
     for suite in SUITES if args.suite == "all" else [args.suite]:
         bad = SUITES[suite](args.trials, args.seed)

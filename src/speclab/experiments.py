@@ -289,13 +289,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled: EmpiricalMeasureLine) -> float:
-    """Exact W1 between a k-atom measure and an (m*k)-atom pooled measure.
-    The monotone coupling sends the sample's i-th atom, with mass 1/k, to
-    the i-th block of m sorted pooled atoms."""
-    m = len(pooled) // len(sample)
-    if m * len(sample) != len(pooled):
-        raise ContractError("pooled atom count must be a multiple of the sample's")
-    return float(np.mean(np.abs(pooled.atoms.reshape(-1, m) - sample.atoms[:, None])))
+    """Exact W1 between a sample and the pool of m such samples it is
+    measured against."""
+    return wp_line(sample, pooled, 1.0)
 
 
 def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray, slack: float) -> bool:
@@ -474,10 +470,10 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
     All four are theorems; any violation indicates an implementation bug."""
     if n_max > 32:
         raise ContractError("suite is sized for n_max <= 32")
-    rng = np.random.default_rng(seed)
+    sizes = StreamKey(seed, "lipschitz_suite/sizes", n_max).generator()
     hw = conj = comp = weyl = 0
     for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
+        n = int(sizes.integers(2, n_max + 1))
         key = StreamKey(seed, "lipschitz_suite", n, t)
         a, b, u = randomized_sum_factors(n, key)
         v = haar_unitary(n, subkey(key, "v"))
@@ -495,7 +491,7 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
         if hs_norm(uau - vav) > delta * uv + slack:
             conj += 1
 
-        k = int(rng.integers(1, n + 1))
+        k = int(sizes.integers(1, n + 1))
         if hs_norm(uau[:k, :k] - vav[:k, :k]) > delta * uv + slack:
             comp += 1
 

@@ -42,18 +42,31 @@ def chordal_distance(theta, phi):
     return 2.0 * np.sin(geodesic_distance(theta, phi) / 2.0)
 
 
+def _block_dp(small: np.ndarray, large: np.ndarray, p: float):
+    """(mean of |large's i-th block - small[i]|^p)^(1/p), the blocks being
+    small.size runs of consecutive atoms of large."""
+    return np.mean(np.abs(large.reshape(small.size, -1) - small[:, None]) ** p) ** (1.0 / p)
+
+
 def wp_line(m1: EmpiricalMeasureLine, m2: EmpiricalMeasureLine, p: float = 1.0) -> float:
-    """d_p between equal-size empirical line measures via the monotone
-    (sorted) coupling, which is exact in one dimension for p >= 1.  A d_p
-    that overflows float64 on the way is refused, not returned as inf."""
-    if len(m1) != len(m2):
-        raise ContractError(
-            f"atom counts differ ({len(m1)} vs {len(m2)}); weighted transport is unsupported"
-        )
+    """d_p between empirical line measures whose atom counts divide one
+    another, via the monotone (sorted) coupling, which is exact in one
+    dimension for p >= 1: the i-th of the k atoms of the smaller measure
+    goes to the i-th block of consecutive atoms of the larger one.  A d_p
+    that float64 cannot hold is refused, not returned as inf."""
+    small, large = (m1.atoms, m2.atoms) if len(m1) <= len(m2) else (m2.atoms, m1.atoms)
+    if large.size % small.size:
+        raise ContractError(f"atom counts {len(m1)} and {len(m2)}: neither is a multiple "
+                            "of the other")
     if not 1.0 <= p <= 2.0:
         raise ContractError("p must lie in [1, 2]")
     with np.errstate(over="ignore"):
-        value = np.mean(np.abs(m1.atoms - m2.atoms) ** p) ** (1.0 / p)
+        value = _block_dp(small, large, p)
+        if not np.isfinite(value):
+            # a difference or its p-th power overflowed: the same coupling on atoms
+            # scaled by an exact power of two into (-1, 1), then scaled back
+            e = math.frexp(max(-small[0], small[-1], -large[0], large[-1]))[1]
+            value = np.ldexp(_block_dp(np.ldexp(small, -e), np.ldexp(large, -e), p), e)
     if not np.isfinite(value):
         raise ContractError(f"d_{p:g} between these measures overflows float64")
     return float(value)

@@ -1,0 +1,25 @@
+"""The Tier-1 workflow runs ROADMAP.md's Tier-1 command, with one BLAS
+thread, on the Python floor pyproject.toml declares and on 3.11."""
+
+import os
+import re
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def read(*path):
+    with open(os.path.join(ROOT, *path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_tier1_workflow_runs_the_roadmap_command():
+    job = yaml.safe_load(read(".github", "workflows", "tier1.yml"))["jobs"]["tier1"]
+    floor = re.search(r'requires-python = ">=(\d+\.\d+)"', read("pyproject.toml")).group(1)
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", read("ROADMAP.md")).group(1)
+    assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
+    assert job["env"] == {"OPENBLAS_NUM_THREADS": "1"}
+    assert job["steps"][-1]["run"] == command

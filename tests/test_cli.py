@@ -230,11 +230,43 @@ class TestDistanceFlags:
         code, out, _ = run_cli(capsys, "distance", "--input", str(a), "--reference", "semicircle")
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["3", "0.5", "nan", "inf"])
+    @pytest.mark.parametrize("missing_input", [False, True])
+    def test_p_out_of_range_exits_2_before_reading(self, tmp_path, capsys, value,
+                                                   missing_input):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_line_csv(b, [0.0, 1.0])
+        if not missing_input:
+            write_line_csv(a, [0.5, 1.5])
+        code, out, err = run_cli(capsys, "distance", "--input", str(a),
+                                 "--reference", str(b), "--p", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --p must lie in [1, 2]") and len(err.splitlines()) == 1
+
+
+class TestDistanceDivisibleCounts:
+    @pytest.mark.parametrize("p, expected", [("1", 0.75), ("2", 0.8660254037844386)])
+    def test_pooled_reference_with_twice_the_atoms(self, tmp_path, capsys, p, expected):
+        # each atom of a meets one replicate of b: 0.5 meets {0, 1}, 1.5 meets {2, 3}
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_line_csv(a, [0.5, 1.5])
+        b.write_text("replicate,eigenvalue_0,eigenvalue_1\n0,0,1\n1,2,3\n")
+        code, out, err = run_cli(capsys, "distance", "--input", str(a),
+                                 "--reference", str(b), "--p", p)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == expected
+
+    def test_counts_that_do_not_divide_exit_1(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_line_csv(a, [0.5, 1.5])
+        write_line_csv(b, [0.0, 1.0, 2.0])
+        code, out, err = run_cli(capsys, "distance", "--input", str(a), "--reference", str(b))
+        assert (code, out) == (1, "")
+        assert err == "error: atom counts 2 and 3: neither is a multiple of the other\n"
+
 
 class TestDistanceOverflow:
-    @pytest.mark.parametrize("xs, ys, flags", [([1e308], [-1e308], []),
-                                               ([1e200, 2e200], [-1e200, 0.0], ["--p", "2"])],
-                             ids=["difference", "power"])
+    @pytest.mark.parametrize("xs, ys, flags", [([1e308], [-1e308], [])], ids=["difference"])
     def test_overflowing_pair_exits_1(self, tmp_path, capsys, xs, ys, flags):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_line_csv(a, xs)
@@ -243,6 +275,15 @@ class TestDistanceOverflow:
                                  "--reference", str(b), *flags)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_overflowing_power_prints_its_value(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_line_csv(a, [1e200, 2e200])
+        write_line_csv(b, [-1e200, 0.0])
+        code, out, err = run_cli(capsys, "distance", "--input", str(a),
+                                 "--reference", str(b), "--p", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 2e200
 
     def test_warning_prints_as_one_line(self, tmp_path):
         # a subprocess: in-process, this suite's filterwarnings = error raises the warning
@@ -760,10 +801,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["lipschitz", "transport-oracle", "group-membership",
                                        "all"])
-    def test_negative_seed_exits_2_before_any_suite(self, capsys, suite):
-        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
-        assert (code, out) == (2, "")
-        assert err == "error: --seed must be non-negative, got -1\n"
+    def test_negative_seed_runs(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1",
+                                 "--trials", "20")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == (3 if suite == "all" else 1)
+        assert all(line.endswith(": OK") for line in lines)
 
     @pytest.mark.parametrize("name,fake,violations", [
         ("haar_so", refuse_to_sample, 20),  # a sampler whose certificate fails
@@ -785,7 +829,15 @@ class TestVerify:
         monkeypatch.setattr(cli, "w1_circle_pair", lambda m1, m2: exact(m1, m2) + 1.0)
         code, out, err = run_cli(capsys, "verify", "--suite", "transport-oracle",
                                  "--trials", "20", "--seed", "3")
-        assert (code, out, err) == (1, "transport-oracle: 20 violations\n", "")
+        # each trial checks two circle pairs: one of equal counts, one of any counts
+        assert (code, out, err) == (1, "transport-oracle: 40 violations\n", "")
+
+    def test_failing_line_coupling_counts_both_line_pairs(self, capsys, monkeypatch):
+        exact = cli.wp_line
+        monkeypatch.setattr(cli, "wp_line", lambda m1, m2, p: exact(m1, m2, p) + 1.0)
+        code, out, err = run_cli(capsys, "verify", "--suite", "transport-oracle",
+                                 "--trials", "20", "--seed", "3")
+        assert (code, out, err) == (1, "transport-oracle: 40 violations\n", "")
 
     @pytest.mark.parametrize("name,fake", [("haar_so", refuse_to_sample),
                                            ("sample_coe", ensembles.haar_unitary)],

@@ -50,15 +50,36 @@ class TestWpLine:
         assert d == pytest.approx(1.5)
 
     def test_unequal_counts_rejected(self):
-        with pytest.raises(ContractError):
-            wp_line(EmpiricalMeasureLine([0.0]), EmpiricalMeasureLine([0.0, 1.0]), 1.0)
+        # counts that divide one another are coupled block by block; 2 and 3 do not
+        with pytest.raises(ContractError, match="atom counts 2 and 3"):
+            wp_line(EmpiricalMeasureLine([0.0, 1.0]), EmpiricalMeasureLine([0.0, 1.0, 2.0]), 1.0)
 
-    @pytest.mark.parametrize("xs, ys, p", [([1e308], [-1e308], 1.0),
-                                           ([1e200, 2e200], [-1e200, 0.0], 2.0)],
-                             ids=["difference", "power"])
+    @pytest.mark.parametrize("xs, ys, p", [([1e308], [-1e308], 1.0)], ids=["difference"])
     def test_overflow_refused(self, xs, ys, p):
+        # W1 = 2e308: past float64's largest finite value, 1.8e308
         with pytest.raises(ContractError, match="overflows float64"):
             wp_line(EmpiricalMeasureLine(xs), EmpiricalMeasureLine(ys), p)
+
+    @pytest.mark.parametrize("xs, ys, p, expected", [
+        ([1e200, 2e200], [-1e200, 0.0], 2.0, 2e200),  # the squares overflow
+        ([0.0, 1e308], [0.0, -1e308], 1.0, 1e308),  # a difference overflows
+    ], ids=["power", "difference"])
+    def test_overflowing_intermediates_rescaled(self, xs, ys, p, expected):
+        assert wp_line(EmpiricalMeasureLine(xs), EmpiricalMeasureLine(ys), p) == expected
+
+    @given(k=st.integers(1, 24), m=st.integers(1, 12), ties=st.booleans(),
+           p=st.sampled_from([1.0, 1.5, 2.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_divisible_counts_equal_the_repeated_atoms(self, k, m, ties, p, seed):
+        # the block coupling of k against k*m atoms is the sorted pairing of
+        # the k atoms, each repeated m times, against the k*m, to the bit
+        rng = np.random.default_rng(seed)
+        draw = ((lambda size: rng.integers(-3, 4, size).astype(float)) if ties
+                else (lambda size: 100.0 * rng.standard_normal(size)))
+        small, large = EmpiricalMeasureLine(draw(k)), EmpiricalMeasureLine(draw(k * m))
+        expected = wp_line(EmpiricalMeasureLine(np.repeat(small.atoms, m)), large, p)
+        assert wp_line(small, large, p) == expected
+        assert wp_line(large, small, p) == expected
 
     def test_finite_results_keep_their_bits(self):
         rng = np.random.default_rng(5)
@@ -231,6 +252,11 @@ class TestCircleUniformSweep:
         assert 0.0 < value < 0.05
 
 
+def repeated(m, count):
+    """The same measure on count atoms: each atom repeated count/len(m) times."""
+    return type(m)(np.repeat(m.atoms, count // len(m)))
+
+
 class TestCirclePair:
     def test_identical(self):
         m = EmpiricalMeasureCircle([0.5, 4.0])
@@ -259,6 +285,27 @@ class TestCirclePair:
             fast = w1_circle_pair(m1, m2)
             exact = assignment_oracle(m1, m2, geodesic_distance, 1.0)
             assert fast == pytest.approx(exact, abs=1e-9)
+
+    def test_unequal_counts_match_oracle_on_repeated_atoms(self):
+        # counts whose lcm is at most 12: the oracle takes both measures on
+        # lcm atoms, each atom repeated lcm/count times
+        rng = np.random.default_rng(10)
+        pairs = [(n1, n2) for n1 in range(1, 13) for n2 in range(1, 13)
+                 if math.lcm(n1, n2) <= 12]
+        for n1, n2 in pairs * 4:
+            size = math.lcm(n1, n2)
+            m1 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n1))
+            m2 = EmpiricalMeasureCircle(rng.uniform(0, TWO_PI, n2))
+            exact = assignment_oracle(repeated(m1, size), repeated(m2, size),
+                                      geodesic_distance, 1.0)
+            assert w1_circle_pair(m1, m2) == pytest.approx(exact, abs=1e-9)
+            if size == max(n1, n2):  # the counts divide one another
+                l1 = EmpiricalMeasureLine(rng.normal(size=n1))
+                l2 = EmpiricalMeasureLine(rng.normal(size=n2))
+                p = float(rng.uniform(1.0, 2.0))
+                exact = assignment_oracle(repeated(l1, size), repeated(l2, size),
+                                          line_distance, p)
+                assert wp_line(l1, l2, p) == pytest.approx(exact, abs=1e-9)
 
     def test_metric_axioms_on_random_triples(self):
         rng = np.random.default_rng(3)
