@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag
+from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag, _j_times
 from .errors import SpeclabError, ContractError
 from .matlin import hold_heap, hs_norm
 from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
@@ -377,8 +377,8 @@ def _verify_transport_oracle(trials: int, seed: int) -> int:
 def _verify_group_membership(trials: int, seed: int) -> int:
     """Draw from every circle row and count the draws its sampler refuses:
     each certifies its group (unitarity in ``UnitaryView``, the determinant
-    for SU, SO and SO-, U J U^T = J for Sp).  COE symmetry, which no sampler
-    certifies, is checked here."""
+    for SU, SO and SO-, U J U^T = J for Sp).  COE symmetry and CSE
+    self-duality, J M^T J^T = M, which no sampler certifies, are checked here."""
     bad = 0
     dims = [2, 3, 8, 17, 64]
     per_dim = max(1, trials // len(dims))
@@ -394,8 +394,9 @@ def _verify_group_membership(trials: int, seed: int) -> int:
                 except SpeclabError:
                     bad += 1
                     continue
-                if tag is EnsembleTag.COE and hs_norm(m - m.T) > 1e-10 * np.sqrt(amb):
-                    bad += 1
+                if tag in (EnsembleTag.COE, EnsembleTag.CSE):  # M = M^T, M = J M^T J^T
+                    dual = m.T if tag is EnsembleTag.COE else _j_times(_j_times(m).T)
+                    bad += int(hs_norm(dual - m) > 1e-10 * np.sqrt(amb))
     return bad
 
 

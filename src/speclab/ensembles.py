@@ -1,13 +1,13 @@
 """Seeded samplers for every random-matrix model in the toolkit.
 
 Haar measure on the classical compact groups O(n), SO(n), SO-(n), U(n),
-SU(n), Sp(n); the circular ensembles COE(n) and CSE(2n); Gaussian Wigner
-(GUE-scaled) Hermitian matrices; random compressions; and randomized sums.
+SU(n), Sp(n/2) inside U(n); the circular ensembles COE(n) and CSE(n); Gaussian
+Wigner (GUE-scaled) Hermitian matrices; random compressions; and randomized sums.
 
-Every sampler is a pure function of its StreamKey: replaying a key
-reproduces the matrix bit-for-bit.  A sampler works on plain arrays and
-certifies only the matrix it returns, as one ``UnitaryView`` or
-``HermitianView``.
+Every sampler takes the ambient dimension n that its StreamKey carries, and is
+a pure function of that key: replaying a key reproduces the matrix bit-for-bit.
+A sampler works on plain arrays and certifies only the matrix it returns, as
+one ``UnitaryView`` or ``HermitianView``.
 """
 
 from __future__ import annotations
@@ -51,23 +51,18 @@ class Ensemble:
     #: name of the function in this module that draws one sample; None for
     #: the models built from several factors, which ``sample`` does not offer
     sampler: str | None = None
-    half_dimension: bool = False  # the sampler takes half the ambient dimension (Sp, CSE)
+    half_dimension: bool = False  # the ambient n is even and `sample --n` is n/2 (Sp, CSE)
     #: slope a rate fit must reach for a PASS: the theorem rate is n^{-2/3},
     #: except for compressions, whose rate in kn is (kn)^{-1/3}
     rate_slope_max: float = -0.6
     kn_abscissa: bool = False  # the model has a rank k, and its rate abscissa is k*n
 
     def sample(self, n: int, key: StreamKey):
-        """One draw of ambient dimension n; the half-dimension rows pass n // 2
-        to their sampler and refuse an odd n.  The sampler is looked up by
-        name at call time, so rebinding the module attribute (a tracing
-        wrapper, a test's patch) takes effect."""
+        """One draw of ambient dimension n, which the sampler checks.  The
+        sampler is looked up by name at call time, so rebinding the module
+        attribute (a tracing wrapper, a test's patch) takes effect."""
         if self.sampler is None:
             raise ContractError("this ensemble has no single-matrix sampler")
-        if self.half_dimension:
-            if n % 2:
-                raise ContractError(f"{self.sampler} requires even ambient dimension, got {n}")
-            n //= 2
         return globals()[self.sampler](n, key)
 
     def spectrum(self, n: int, key: StreamKey):
@@ -84,6 +79,14 @@ def _j_times(m: np.ndarray) -> np.ndarray:
     out[0::2] = -m[1::2]
     out[1::2] = m[0::2]
     return out
+
+
+def _require_even(n: int, sampler: str) -> None:
+    """Refuse an odd ambient dimension, or one below 2, to a sampler of 2x2 blocks."""
+    if n % 2:
+        raise ContractError(f"{sampler} requires even ambient dimension, got {n}")
+    if n < 2:
+        raise ContractError(f"{sampler} requires ambient dimension at least 2, got {n}")
 
 
 def ginibre_complex(n: int, key: StreamKey) -> np.ndarray:
@@ -115,12 +118,13 @@ def haar_orthogonal(n: int, key: StreamKey) -> UnitaryView:
 def _with_det_sign(q: np.ndarray, want_positive: bool) -> UnitaryView:
     """The Haar O(n) draw q, its last column flipped in place if det has the
     wrong sign.  Right translation by diag(1,...,1,-1) preserves Haar measure
-    and swaps the two components."""
+    and swaps the two components.  Flipping a column negates the LU
+    determinant exactly, so the check reuses the one factorization."""
     det = det_lu(q).real
     target = 1.0 if want_positive else -1.0
     if det * target < 0:
         q[:, -1] = -q[:, -1]
-        det = det_lu(q).real
+        det = -det
     if abs(det - target) > DET_TOL:
         raise NumericalFailureError(f"determinant {det} not within {DET_TOL} of {target}")
     return UnitaryView(q)
@@ -148,37 +152,29 @@ def haar_su(n: int, key: StreamKey) -> UnitaryView:
     return UnitaryView(q)
 
 
-def haar_symplectic(half_n: int, key: StreamKey) -> UnitaryView:
-    """Haar-distributed Sp(n) inside U(2n): the positive-diagonal QR of a
-    quaternionic Ginibre matrix (Mezzadri, Notices AMS 2007).
+def haar_symplectic(n: int, key: StreamKey) -> UnitaryView:
+    """Haar-distributed Sp(n/2) inside U(n), for even n: the positive-diagonal
+    QR of a quaternionic Ginibre matrix (Mezzadri, Notices AMS 2007).
 
     Quaternions are embedded as 2x2 complex blocks [[a, -conj(b)], [b, conj(a)]],
     aligned with the form J so that a unitary matrix of such blocks is exactly
     one with U J U^T = J.  The embedded quaternionic upper-triangular factor
     is complex upper triangular with a positive diagonal, so by uniqueness
     the complex QR of the embedded Ginibre matrix is its quaternionic QR, and
-    Q is a Haar Sp(n) sample.
+    Q is a Haar Sp(n/2) sample.
     """
-    if half_n < 1:
-        raise ContractError("half dimension must be at least 1")
-    n = half_n
+    _require_even(n, "haar_symplectic")
     rng = key.generator()
-    a = standard_complex_normal(rng, (n, n))
-    b = standard_complex_normal(rng, (n, n))
-    g = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    a = standard_complex_normal(rng, (n // 2, n // 2))
+    b = standard_complex_normal(rng, (n // 2, n // 2))
+    g = np.empty((n, n), dtype=np.complex128)
     g[0::2, 0::2] = a
-    g[0::2, 1::2] = -b.conj()
     g[1::2, 0::2] = b
-    g[1::2, 1::2] = a.conj()
-
+    # each odd column is J conj of the even column before it
+    g[:, 1::2] = _j_times(g[:, 0::2].conj())
     q = qr_positive(g)
-    # U J U^T - J, where J's only entries are -1 at (2k, 2k+1) and 1 at (2k+1, 2k)
-    residual = q @ _j_times(q.T)
-    pairs = np.arange(0, 2 * n, 2)
-    residual[pairs, pairs + 1] += 1.0
-    residual[pairs + 1, pairs] -= 1.0
-    defect = np.linalg.norm(residual)
-    if defect > 1e-8 * np.sqrt(n):
+    defect = np.linalg.norm(q @ _j_times(q.T) - _j_times(np.eye(n)))
+    if defect > 1e-8 * np.sqrt(n / 2):
         raise NumericalFailureError(f"symplectic identity violated by {defect:.3e}")
     return UnitaryView(q)
 
@@ -189,11 +185,11 @@ def sample_coe(n: int, key: StreamKey) -> UnitaryView:
     return UnitaryView(v.T @ v)
 
 
-def sample_cse(half_n: int, key: StreamKey) -> UnitaryView:
-    """CSE(2n): J V^T J^T V with V Haar on U(2n) and J the symplectic form."""
-    if half_n < 1:
-        raise ContractError("half dimension must be at least 1")
-    v = qr_positive(ginibre_complex(2 * half_n, key))
+def sample_cse(n: int, key: StreamKey) -> UnitaryView:
+    """CSE(n), for even n: J V^T J^T V with V Haar on U(n) and J the
+    symplectic form.  Output is unitary and self-dual, J M^T J^T = M."""
+    _require_even(n, "sample_cse")
+    v = qr_positive(ginibre_complex(n, key))
     # J V^T J^T = J (J V)^T
     return UnitaryView(_j_times(_j_times(v).T) @ v)
 

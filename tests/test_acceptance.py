@@ -190,3 +190,52 @@ def test_criterion_11_semicircle_regression():
         return float(np.mean(vals))
 
     report(11, "semicircle convergence regression", mean_w1(256) < mean_w1(64))
+
+
+# P[u <= s] for u = |pi - gap| between the two angles of a two-angle spectrum:
+# by Weyl's integration formula u has density proportional to cos^beta(u/2) on [0, pi]
+TWO_POINT_CDF = {
+    0: lambda s: s / np.pi,
+    1: lambda s: np.sin(s / 2),
+    2: lambda s: (s + np.sin(s)) / np.pi,
+    4: lambda s: (3 * s + 4 * np.sin(s) + np.sin(2 * s) / 2) / (3 * np.pi),
+}
+
+
+def test_criterion_12_exact_two_point_laws():
+    # frozen: the rows, their ambient n and beta, the 2,000 draws and every bound
+    reps = 2000
+
+    def spectra(tag, n):
+        row = ENSEMBLES[EnsembleTag(tag)]
+        return np.array([row.spectrum(n, StreamKey(SEED, f"exact_law/{tag}", n, r)).atoms
+                         for r in range(reps)])
+
+    def gap_and_d1(angles):
+        # CSE's angles come in Kramers doublets: atoms 0 and 2 are the two distinct ones
+        pair = angles[:, [0, 2]] if angles.shape[1] == 4 else angles
+        u = np.abs(np.pi - (pair[:, 1] - pair[:, 0]))
+        d1 = np.array([w1_circle_uniform(EmpiricalMeasureCircle(a)) for a in angles])
+        return u, d1
+
+    ok = True
+    for tag, n, beta in [("unitary", 2, 2), ("su", 2, 2), ("symplectic", 2, 2),
+                         ("coe", 2, 1), ("cse", 4, 4), ("so", 2, 0)]:
+        angles = spectra(tag, n)
+        u, d1 = gap_and_d1(angles)
+        ok &= np.max(np.abs(d1 - (np.pi / 4 + u ** 2 / (4 * np.pi)))) <= 1e-12
+        ok &= stats.kstest(u, TWO_POINT_CDF[beta]).pvalue >= 0.01
+        ok &= all(stats.kstest(u, cdf).pvalue <= 1e-6
+                  for other, cdf in TWO_POINT_CDF.items() if other != beta)
+        if tag == "cse":
+            ok &= np.max(np.abs(angles[:, [1, 3]] - angles[:, [0, 2]])) <= 1e-9
+
+    _, d1 = gap_and_d1(spectra("so_minus", 2))
+    ok &= np.max(np.abs(d1 - np.pi / 4)) <= 1e-12
+
+    # O(2) is half SO-(2), whose d1 is pi/4 exactly, and half SO(2)
+    u, d1 = gap_and_d1(spectra("orthogonal", 2))
+    coset = np.abs(d1 - np.pi / 4) <= 1e-12
+    ok &= stats.binomtest(int(coset.sum()), reps, 0.5).pvalue >= 0.01
+    ok &= stats.kstest(u[~coset], TWO_POINT_CDF[0]).pvalue >= 0.01
+    report(12, "exact two-point laws", ok)

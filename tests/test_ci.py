@@ -1,5 +1,6 @@
-"""The Tier-1 workflow runs ROADMAP.md's Tier-1 command, with one BLAS
-thread, on the Python floor pyproject.toml declares and on 3.11."""
+"""The Tier-1 workflow runs the installed ``speclab verify`` and then
+ROADMAP.md's Tier-1 command, with one BLAS thread, on the Python floor
+pyproject.toml declares and on 3.11."""
 
 import os
 import re
@@ -22,4 +23,5 @@ def test_tier1_workflow_runs_the_roadmap_command():
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", read("ROADMAP.md")).group(1)
     assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
     assert job["env"] == {"OPENBLAS_NUM_THREADS": "1"}
-    assert job["steps"][-1]["run"] == command
+    runs = [step.get("run") for step in job["steps"]]
+    assert runs[-2:] == ["speclab verify --suite all --trials 50", command]

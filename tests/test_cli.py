@@ -1,8 +1,10 @@
 import ast
 import csv
+import importlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -812,9 +814,11 @@ class TestVerify:
     @pytest.mark.parametrize("name,fake,violations", [
         ("haar_so", refuse_to_sample, 20),  # a sampler whose certificate fails
         ("sample_coe", ensembles.haar_unitary, 20),  # unitary but not symmetric
+        ("sample_cse", ensembles.haar_unitary, 20),  # unitary but not self-dual
         # a Q off the group by 0.1%: each of the eight circle rows must refuse it
         ("qr_positive", lambda g: 1.001 * matlin.qr_positive(g), 160),
-    ], ids=["so-certificate-fails", "coe-not-symmetric", "every-row-certifies-its-q"])
+    ], ids=["so-certificate-fails", "coe-not-symmetric", "cse-not-self-dual",
+            "every-row-certifies-its-q"])
     def test_group_membership_suite_counts_failures(self, capsys, monkeypatch, name, fake,
                                                     violations):
         # the samplers look these names up at call time, so the patch reaches them
@@ -840,8 +844,10 @@ class TestVerify:
         assert (code, out, err) == (1, "transport-oracle: 40 violations\n", "")
 
     @pytest.mark.parametrize("name,fake", [("haar_so", refuse_to_sample),
-                                           ("sample_coe", ensembles.haar_unitary)],
-                             ids=["so-certificate-fails", "coe-not-symmetric"])
+                                           ("sample_coe", ensembles.haar_unitary),
+                                           ("sample_cse", ensembles.haar_unitary)],
+                             ids=["so-certificate-fails", "coe-not-symmetric",
+                                  "cse-not-self-dual"])
     def test_failing_group_membership_prints_only_its_count(self, capsys, monkeypatch,
                                                             name, fake):
         monkeypatch.setattr(ensembles, name, fake)
@@ -882,6 +888,17 @@ def test_only_main_prints_error_lines_or_exits_2():
     exit_2 = [node.lineno for node in nodes if isinstance(node, ast.Name)
               and node.id == "EXIT_USAGE" and isinstance(node.ctx, ast.Load)]
     assert (error_lines, exit_2) == ([], [])
+
+
+def test_console_script_is_main():
+    # the speclab command an install makes calls what [project.scripts] names
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        entry = re.search(r'^\[project\.scripts\]\nspeclab = "([\w.]+):(\w+)"$', fh.read(),
+                          re.MULTILINE)
+    module, name = entry.groups()
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -188,20 +188,20 @@ class TestHaarSu:
 class TestSymplectic:
     def test_preserves_form(self):
         for n, r in [(1, 0), (2, 0), (4, 0), (8, 1), (32, 0)]:
-            u = haar_symplectic(n, key("symplectic", 2 * n, r))
+            u = haar_symplectic(2 * n, key("symplectic", 2 * n, r))
             j = symplectic_form(n)
             assert hs_norm(u.entries @ j @ u.entries.T - j) <= 1e-8 * np.sqrt(n)
 
     def test_angles_closed_under_reflection(self):
         for r in range(10):
-            ang = eig_unitary_angles(haar_symplectic(4, key("symplectic", 8, r))).atoms
+            ang = eig_unitary_angles(haar_symplectic(8, key("symplectic", 8, r))).atoms
             reflected = np.sort(np.mod(TWO_PI - ang, TWO_PI))
             diff = np.abs(np.sort(ang) - reflected)
             diff = np.minimum(diff, TWO_PI - diff)
             assert np.max(diff) < 1e-8
 
     def test_sp1_pair(self):
-        ang = eig_unitary_angles(haar_symplectic(1, key("symplectic", 2, 3))).atoms
+        ang = eig_unitary_angles(haar_symplectic(2, key("symplectic", 2, 3))).atoms
         assert ang[0] + ang[1] == pytest.approx(TWO_PI, abs=1e-10)
 
     @pytest.mark.parametrize("half_n", [1, 2, 3, 4, 8, 32, 64])
@@ -209,7 +209,7 @@ class TestSymplectic:
         for r in range(4):
             k = key("symplectic", 2 * half_n, r)
             expected = gram_schmidt_symplectic(half_n, k)
-            assert np.max(np.abs(haar_symplectic(half_n, k).entries - expected)) <= 1e-13
+            assert np.max(np.abs(haar_symplectic(2 * half_n, k).entries - expected)) <= 1e-13
 
     def test_pooled_benchmark_pin(self):
         # perfbench's pooled_distance workload samples these 64 Sp(32)
@@ -218,7 +218,7 @@ class TestSymplectic:
         with open(REFERENCE, encoding="utf-8") as fh:
             reference = json.load(fh)
         atoms = np.concatenate([
-            eig_unitary_angles(haar_symplectic(32, StreamKey(reference["seed"], "symplectic",
+            eig_unitary_angles(haar_symplectic(64, StreamKey(reference["seed"], "symplectic",
                                                              64, r))).atoms
             for r in range(64)
         ])
@@ -265,7 +265,7 @@ class TestCircularEnsembles:
 
     def test_cse_kramers_doublets(self):
         for r in range(10):
-            ang = np.sort(eig_unitary_angles(sample_cse(4, key("cse", 8, r))).atoms)
+            ang = np.sort(eig_unitary_angles(sample_cse(8, key("cse", 8, r))).atoms)
             pairs = ang.reshape(-1, 2)
             assert np.max(np.abs(pairs[:, 0] - pairs[:, 1])) < 1e-6
 
@@ -461,32 +461,40 @@ class TestEnsembleTable:
     @pytest.mark.parametrize("tag,n,message", [
         ("symplectic", 5, "symplectic requires even ambient dimension, got 5"),
         ("cse", 7, "cse requires even ambient dimension, got 7"),
+        ("compression", 4, "this ensemble has no single-matrix sampler"),
     ])
     def test_circle_sampler_refuses(self, tag, n, message):
         with pytest.raises(ContractError, match=message):
             ENSEMBLES[EnsembleTag(tag)].sample(n, key(tag, n))
 
+    @pytest.mark.parametrize("sampler", [haar_symplectic, sample_cse],
+                             ids=lambda f: f.__name__)
+    def test_quaternionic_sampler_refuses_dimension_zero(self, sampler):
+        # a StreamKey cannot carry n = 0, so only a direct call can ask for it
+        with pytest.raises(ContractError, match="requires ambient dimension at least 2, got 0"):
+            sampler(0, key("zero", 2))
+
     @pytest.mark.parametrize("tag", [t for t, row in ENSEMBLES.items() if row.sampler],
                              ids=lambda t: t.value)
     def test_row_draws_at_the_ambient_dimension(self, tag):
-        # the oracle: the sampler function called directly, with half of n for Sp and CSE
-        sampler, half = {
-            EnsembleTag.ORTHOGONAL: (haar_orthogonal, False),
-            EnsembleTag.SO: (haar_so, False),
-            EnsembleTag.SO_MINUS: (haar_so_minus, False),
-            EnsembleTag.UNITARY: (haar_unitary, False),
-            EnsembleTag.SU: (haar_su, False),
-            EnsembleTag.SYMPLECTIC: (haar_symplectic, True),
-            EnsembleTag.COE: (sample_coe, False),
-            EnsembleTag.CSE: (sample_cse, True),
-            EnsembleTag.GUE_WIGNER: (gue_wigner, False),
+        # the oracle: the sampler function called directly, at the same n
+        sampler = {
+            EnsembleTag.ORTHOGONAL: haar_orthogonal,
+            EnsembleTag.SO: haar_so,
+            EnsembleTag.SO_MINUS: haar_so_minus,
+            EnsembleTag.UNITARY: haar_unitary,
+            EnsembleTag.SU: haar_su,
+            EnsembleTag.SYMPLECTIC: haar_symplectic,
+            EnsembleTag.COE: sample_coe,
+            EnsembleTag.CSE: sample_cse,
+            EnsembleTag.GUE_WIGNER: gue_wigner,
         }[tag]
         eig = eig_hermitian if tag is EnsembleTag.GUE_WIGNER else eig_unitary_angles
         row, n = ENSEMBLES[tag], 6
         k = key(f"row_{tag.value}", n, 2)
         draw = row.sample(n, k)
         assert draw.entries.shape == (n, n)
-        assert np.array_equal(draw.entries, sampler(n // 2 if half else n, k).entries)
+        assert np.array_equal(draw.entries, sampler(n, k).entries)
         assert np.array_equal(row.spectrum(n, k).atoms, eig(draw).atoms)
 
 

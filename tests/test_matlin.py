@@ -269,7 +269,7 @@ class TestCayleyEdgeCases:
 
     def test_cse_kramers_doublets(self):
         for r in range(20):
-            ang = eig_unitary_angles(sample_cse(8, StreamKey(33, "cse", 16, r))).atoms
+            ang = eig_unitary_angles(sample_cse(16, StreamKey(33, "cse", 16, r))).atoms
             cut = ang[np.argmax(np.diff(ang, append=ang[0] + TWO_PI))]
             pairs = np.sort(np.mod(ang - cut - 1e-3, TWO_PI)).reshape(-1, 2)
             assert np.max(pairs[:, 1] - pairs[:, 0]) < 1e-12
