@@ -31,7 +31,7 @@ from .ensembles import (
     sample_compression,
 )
 from .errors import ContractError, SpeclabError
-from .matlin import eig_hermitian, hold_heap, hs_norm
+from .matlin import HermitianView, eig_hermitian, hold_heap, hs_norm, ritz_bounds
 from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
@@ -300,6 +300,24 @@ def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray, slack: float
     return not (em[0] >= ea[0] + eb[0] - slack and em[-1] <= ea[-1] + eb[-1] + slack)
 
 
+def _weyl_record(a: HermitianView, b: HermitianView, em: np.ndarray) -> float:
+    """The ``weyl_violation`` record, 1.0 or 0.0, of a measured cell whose
+    sum U A U* + B has the sorted spectrum em.
+
+    The Ritz inner bounds of A and B are tried first, with no slack: a
+    spectrum inside [theta_min(A) + theta_min(B), theta_max(A) + theta_max(B)]
+    is inside the Weyl interval too, and passes the exact check.  Otherwise
+    A's and B's full spectra decide it, with a slack of 1e-8 times the sum
+    of their spectral radii.
+    """
+    (a_lo, a_hi), (b_lo, b_hi) = ritz_bounds(a), ritz_bounds(b)
+    if a_lo + b_lo <= em[0] and em[-1] <= a_hi + b_hi:
+        return 0.0
+    ea, eb = eig_hermitian(a).atoms, eig_hermitian(b).atoms
+    slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
+    return float(_weyl_violation(ea, eb, em, slack))
+
+
 def _cell(task) -> dict:
     """One (plan, n, replicate) cell: one draw, one spectrum, and every
     statistic that needs the sample itself.  Module-level so process pools
@@ -308,9 +326,11 @@ def _cell(task) -> dict:
     A circle cell gives ``d1`` to the uniform law, plus ``traces`` (tr U^k
     for k = 1..moments_kmax) when the plan asks for moments.  A line cell
     gives its ``spectrum``; a measured randomized-sum cell (replicate >= m)
-    also gives ``weyl_violation`` from the same draw and eigensolve.  A
-    ``SpeclabError`` comes back as its own type, its message prefixed with
-    the cell's ensemble, n and replicate.
+    also gives ``weyl_violation`` from the same draw and eigensolve; A's
+    and B's full spectra are computed only when their Ritz inner bounds
+    cannot certify containment (``_weyl_record``).  A ``SpeclabError``
+    comes back as its own type, its message prefixed with the cell's
+    ensemble, n and replicate.
     """
     plan, n, r = task
     tag, row = plan.ensemble, ENSEMBLES[plan.ensemble]
@@ -330,9 +350,7 @@ def _cell(task) -> dict:
         a, b, u = randomized_sum_factors(n, key)
         out = {"spectrum": eig_hermitian(randomized_sum(a, b, u))}
         if r >= plan.replicates:
-            ea, eb = eig_hermitian(a).atoms, eig_hermitian(b).atoms
-            slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
-            out["weyl_violation"] = float(_weyl_violation(ea, eb, out["spectrum"].atoms, slack))
+            out["weyl_violation"] = _weyl_record(a, b, out["spectrum"].atoms)
         return out
     except SpeclabError as exc:
         # the CLI prints only the message, from whichever process ran the cell

@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: norms, QR with positive diagonal, and
-Hermitian and unitary eigendecompositions.
+"""Dense complex linear algebra: norms, QR with positive diagonal,
+Hermitian and unitary eigendecompositions, and Ritz inner bounds on a
+Hermitian spectrum.
 
 The matrix views are immutable after construction and safe to share between
 threads; their constructor checks make the Hermitian/unitary assumptions
@@ -103,6 +104,40 @@ def eig_hermitian(a: HermitianView) -> EmpiricalMeasureLine:
         return EmpiricalMeasureLine(np.linalg.eigvalsh(a.entries))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailureError(f"Hermitian eigensolver failed: {exc}") from exc
+
+
+# Dimension of the Krylov space behind ``ritz_bounds``.  At six, the bounds
+# sit at most 0.48 inside a GUE Wigner spectrum at n = 16 to 128, and the
+# spectrum of U A U* + B stays at least 0.228 inside the bounds' sum in all
+# 3,200 measured randomized-sum cells of four seeds (plan randomized_sum_rate).
+RITZ_DIM = 6
+
+
+def ritz_bounds(a: HermitianView) -> tuple[float, float]:
+    """Inner bounds (theta_min, theta_max) on the spectrum of a Hermitian
+    matrix: lambda_min(A) <= theta_min <= theta_max <= lambda_max(A), up to
+    roundoff of order eps ||A||.
+
+    They are the extreme Ritz values of A on the Krylov space
+    {x, Ax, ..., A^(RITZ_DIM - 1) x} from the fixed start x = (1, ..., 1):
+    for any Q with orthonormal columns, every eigenvalue of Q* A Q lies in
+    [lambda_min, lambda_max] (Cauchy interlacing).  Householder QR keeps Q
+    orthonormal also when the space has fewer dimensions than it has
+    vectors, as for n < RITZ_DIM, c I or a diagonal A, and the powers are
+    taken of A / ||A|| so that they cannot overflow.  No random numbers are
+    drawn.  Costs about 2 RITZ_DIM matrix-vector products, a thin QR and a
+    RITZ_DIM-square eigensolve, against an n-square eigensolve for the
+    exact extremes.
+    """
+    h = a.entries
+    scaled = h / (hs_norm(h) or 1.0)
+    krylov = np.empty((a.dim, RITZ_DIM), dtype=h.dtype)
+    krylov[:, 0] = 1.0
+    for j in range(1, RITZ_DIM):
+        krylov[:, j] = scaled @ krylov[:, j - 1]
+    q = np.linalg.qr(krylov)[0]
+    theta = np.linalg.eigvalsh(q.conj().T @ (h @ q))
+    return float(theta[0]), float(theta[-1])
 
 
 def qr_positive(g: np.ndarray) -> np.ndarray:

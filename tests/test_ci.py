@@ -1,11 +1,13 @@
 """The Tier-1 workflow runs the installed ``speclab verify`` and then
-ROADMAP.md's Tier-1 command, with one BLAS thread, on the Python floor
-pyproject.toml declares and on 3.11."""
+ROADMAP.md's Tier-1 command, with every thread variable the CLI records at
+one, on the Python floor pyproject.toml declares and on 3.11."""
 
 import os
 import re
 
 import pytest
+
+from speclab import cli
 
 yaml = pytest.importorskip("yaml")
 
@@ -22,6 +24,6 @@ def test_tier1_workflow_runs_the_roadmap_command():
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"', read("pyproject.toml")).group(1)
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", read("ROADMAP.md")).group(1)
     assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
-    assert job["env"] == {"OPENBLAS_NUM_THREADS": "1"}
+    assert job["env"] == {name: "1" for name in cli.THREAD_VARS}
     runs = [step.get("run") for step in job["steps"]]
     assert runs[-2:] == ["speclab verify --suite all --trials 50", command]

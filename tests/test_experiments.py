@@ -19,7 +19,7 @@ from speclab.experiments import (
     run_rate_experiment,
     wilson_interval,
 )
-from speclab.matlin import eig_hermitian, hold_heap
+from speclab.matlin import HermitianView, UnitaryView, eig_hermitian, hold_heap
 from speclab.measures import EmpiricalMeasureLine, pool
 from speclab.rng import StreamKey
 from speclab.transport import wp_line
@@ -257,6 +257,21 @@ class TestRateExperiment:
         d1 = [rec.value for rec in res.records if rec.statistic == "d1"]
         assert d1 == [_d1_to_pooled(s, pooled) for s in spectra[m:]]
 
+    def test_weyl_verdicts_match_the_exact_check(self):
+        # the recorded verdict is the one the exact spectra of A and B give
+        tag = EnsembleTag.RANDOMIZED_SUM
+        for seed in (SEED, 4242, 20260826):
+            res = run_rate_experiment(ExperimentPlan(tag, (8, 16), 30, seed))
+            for rec in res.records:
+                if rec.statistic != "weyl_violation":
+                    continue
+                a, b, u = randomized_sum_factors(rec.n, StreamKey(seed, tag.value, rec.n,
+                                                                  rec.replicate))
+                ea, eb = eig_hermitian(a).atoms, eig_hermitian(b).atoms
+                em = eig_hermitian(randomized_sum(a, b, u)).atoms
+                slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
+                assert rec.value == float(experiments._weyl_violation(ea, eb, em, slack))
+
     def test_line_rate_pins(self):
         # perfbench's line_rate workload pins every d1 of this plan's n = 16..128
         # at 1e-12 in perfbench/reference.json; n = 16 and 32 rebuild 400 of them
@@ -338,6 +353,48 @@ class TestMoments:
         plan = ExperimentPlan(EnsembleTag.UNITARY, (4,), 10, SEED)
         with pytest.raises(ContractError):
             run_rate_experiment(replace(plan, moments_kmax=4))
+
+
+class TestWeylCell:
+    """A measured randomized-sum cell records weyl_violation 1.0 when the sum
+    escapes the Weyl interval, and 0.0 when it touches the interval's end,
+    which the Ritz inner bounds cannot certify."""
+
+    plan = ExperimentPlan(EnsembleTag.RANDOMIZED_SUM, (8,), 2, SEED)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.dim)
+            return eig_hermitian(a)
+
+        monkeypatch.setattr(experiments, "eig_hermitian", counted)
+        return calls
+
+    def test_certified_cell_runs_one_eigensolve(self, solves):
+        assert experiments._cell((self.plan, 8, 2))["weyl_violation"] == 0.0
+        assert solves == [8]
+
+    def test_escaping_spectrum_is_recorded(self, monkeypatch, solves):
+        def shifted(a, b, u):
+            return HermitianView(randomized_sum(a, b, u).entries + 100.0 * np.eye(a.dim))
+
+        monkeypatch.setattr(experiments, "randomized_sum", shifted)
+        assert experiments._cell((self.plan, 8, 2))["weyl_violation"] == 1.0
+        assert solves == [8, 8, 8]
+
+    def test_touching_spectrum_passes_through_the_exact_check(self, monkeypatch, solves):
+        # U = I and diagonal A = B: the sum's largest eigenvalue is
+        # max(A) + max(B) exactly, above the Ritz bounds' sum
+        d = HermitianView(np.diag(np.arange(1.0, 9.0)))
+        monkeypatch.setattr(experiments, "randomized_sum_factors",
+                            lambda n, key: (d, d, UnitaryView(np.eye(8))))
+        cell = experiments._cell((self.plan, 8, 2))
+        assert cell["spectrum"].atoms[-1] == 16.0
+        assert cell["weyl_violation"] == 0.0
+        assert solves == [8, 8, 8]
 
 
 class TestLipschitzSuite:

@@ -14,6 +14,7 @@ from speclab.matlin import (
     eig_unitary_angles,
     hs_norm,
     qr_positive,
+    ritz_bounds,
 )
 from speclab.rng import StreamKey
 
@@ -167,6 +168,48 @@ class TestEigHermitian:
             vals = eig_hermitian(a).atoms
             assert np.sum(vals) == pytest.approx(np.trace(a.entries).real, rel=1e-9)
             assert np.sum(vals**2) == pytest.approx(hs_norm(a.entries) ** 2, rel=1e-9)
+
+
+class TestRitzBounds:
+    """Inner bounds lambda_min <= theta_min <= theta_max <= lambda_max, up to
+    roundoff of order eps ||A||, with no RuntimeWarning anywhere (pytest
+    turns warnings into errors)."""
+
+    @staticmethod
+    def assert_inside(a: HermitianView):
+        lam = eig_hermitian(a).atoms
+        lo, hi = ritz_bounds(a)
+        tol = 1e-13 * max(abs(lam[0]), abs(lam[-1]))
+        assert lam[0] - tol <= lo <= hi <= lam[-1] + tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 16, 64])
+    def test_random_hermitian_stack(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            self.assert_inside(random_hermitian(rng, n))
+
+    @pytest.mark.parametrize("entries", [
+        [[-2.5]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        np.zeros((7, 7)),
+        -3.0 * np.eye(9),
+        np.diag(np.arange(1.0, 13.0)),
+        np.diag([0.0] * 11 + [5.0]),
+        np.diag([-1e-300] + [0.0] * 10 + [1e-300]),
+    ], ids=["n1", "n2", "zero", "cI", "diagonal", "rank_one", "tiny"])
+    def test_small_and_rank_deficient(self, entries):
+        self.assert_inside(HermitianView(entries))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_exact_when_the_space_is_everything(self, n):
+        # from n <= RITZ_DIM the Krylov space of a generic A is all of C^n
+        a = random_hermitian(np.random.default_rng(100 + n), n)
+        lam = eig_hermitian(a).atoms
+        assert np.allclose(ritz_bounds(a), (lam[0], lam[-1]), rtol=0, atol=1e-12)
+
+    def test_strictly_inside_on_a_larger_space(self):
+        lo, hi = ritz_bounds(HermitianView(np.diag(np.arange(1.0, 9.0))))
+        assert 1.0 < lo < 1.02 and 7.98 < hi < 8.0
 
 
 class TestEigUnitaryAngles:
