@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag, _j_times
 from .errors import SpeclabError, ContractError
-from .matlin import hold_heap, hs_norm
-from .measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
+from .matlin import eig_unitary_angles, hold_heap, hs_norm
+from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine
 from .rng import StreamKey
 from .transport import (
     ORACLE_MAX_ATOMS,
@@ -374,11 +374,23 @@ def _verify_transport_oracle(trials: int, seed: int) -> int:
     return bad
 
 
+def _angle_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest difference between two angle multisets of one size, matched in
+    sorted order around the circle from the middle of want's widest gap."""
+    ring = np.sort(want)
+    widths = np.diff(ring, append=ring[0] + TWO_PI)
+    cut = ring[np.argmax(widths)] + np.max(widths) / 2.0
+    return float(np.max(np.abs(np.sort(np.mod(got - cut, TWO_PI))
+                               - np.sort(np.mod(want - cut, TWO_PI)))))
+
+
 def _verify_group_membership(trials: int, seed: int) -> int:
     """Draw from every circle row and count the draws its sampler refuses:
     each certifies its group (unitarity in ``UnitaryView``, the determinant
     for SU, SO and SO-, U J U^T = J for Sp).  COE symmetry and CSE
-    self-duality, J M^T J^T = M, which no sampler certifies, are checked here."""
+    self-duality, J M^T J^T = M, which no sampler certifies, are checked here,
+    and so is each paired row's spectrum: its angles must lie within 1e-10 of
+    the Cayley route's on the same draw."""
     bad = 0
     dims = [2, 3, 8, 17, 64]
     per_dim = max(1, trials // len(dims))
@@ -390,10 +402,14 @@ def _verify_group_membership(trials: int, seed: int) -> int:
                 amb = n + 1 if (row.half_dimension and n % 2) else n
                 key = StreamKey(seed, f"verify/{tag.value}", amb, r)
                 try:
-                    m = row.sample(amb, key).entries
+                    draw = row.sample(amb, key)
+                    off = row.paired and _angle_gap(row.eig(draw).atoms,
+                                                    eig_unitary_angles(draw).atoms) > 1e-10
                 except SpeclabError:
                     bad += 1
                     continue
+                bad += int(off)
+                m = draw.entries
                 if tag in (EnsembleTag.COE, EnsembleTag.CSE):  # M = M^T, M = J M^T J^T
                     dual = m.T if tag is EnsembleTag.COE else _j_times(_j_times(m).T)
                     bad += int(hs_norm(dual - m) > 1e-10 * np.sqrt(amb))

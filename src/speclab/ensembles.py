@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalFailureError
 from .matlin import (HermitianView, UnitaryView, qr_positive, det_lu, eig_hermitian,
-                     eig_unitary_angles)
+                     eig_paired_angles, eig_unitary_angles)
 from .rng import StreamKey, standard_complex_normal, subkey
 
 DET_TOL = 1e-8
@@ -56,6 +56,9 @@ class Ensemble:
     #: except for compressions, whose rate in kn is (kn)^{-1/3}
     rate_slope_max: float = -0.6
     kn_abscissa: bool = False  # the model has a rank k, and its rate abscissa is k*n
+    #: the group's spectra are closed under theta -> -theta but for forced +-1
+    #: (O, SO, SO-, Sp), so one symmetric eigensolve gives them
+    paired: bool = False
 
     def sample(self, n: int, key: StreamKey):
         """One draw of ambient dimension n, which the sampler checks.  The
@@ -65,11 +68,20 @@ class Ensemble:
             raise ContractError("this ensemble has no single-matrix sampler")
         return globals()[self.sampler](n, key)
 
+    @property
+    def eig(self):
+        """The eigensolver of this row's draws: ``eig_hermitian`` for a line
+        row, ``eig_paired_angles`` for a paired circle row and
+        ``eig_unitary_angles`` for the others.  Looked up at call time, as
+        ``sample`` is."""
+        if self.domain == "line":
+            return eig_hermitian
+        return eig_paired_angles if self.paired else eig_unitary_angles
+
     def spectrum(self, n: int, key: StreamKey):
-        """The spectral measure of ``sample(n, key)``: eigenangles for a circle
-        row, eigenvalues for a line row."""
-        eig = eig_unitary_angles if self.domain == "circle" else eig_hermitian
-        return eig(self.sample(n, key))
+        """The spectral measure of ``sample(n, key)`` from the row's ``eig``:
+        eigenangles for a circle row, eigenvalues for a line row."""
+        return self.eig(self.sample(n, key))
 
 
 def _j_times(m: np.ndarray) -> np.ndarray:
@@ -231,12 +243,13 @@ def randomized_sum(a: HermitianView, b: HermitianView, u: UnitaryView) -> Hermit
 
 
 ENSEMBLES = {
-    EnsembleTag.ORTHOGONAL: Ensemble("circle", "haar_orthogonal"),
-    EnsembleTag.SO: Ensemble("circle", "haar_so"),
-    EnsembleTag.SO_MINUS: Ensemble("circle", "haar_so_minus"),
+    EnsembleTag.ORTHOGONAL: Ensemble("circle", "haar_orthogonal", paired=True),
+    EnsembleTag.SO: Ensemble("circle", "haar_so", paired=True),
+    EnsembleTag.SO_MINUS: Ensemble("circle", "haar_so_minus", paired=True),
     EnsembleTag.UNITARY: Ensemble("circle", "haar_unitary"),
     EnsembleTag.SU: Ensemble("circle", "haar_su"),
-    EnsembleTag.SYMPLECTIC: Ensemble("circle", "haar_symplectic", half_dimension=True),
+    EnsembleTag.SYMPLECTIC: Ensemble("circle", "haar_symplectic", half_dimension=True,
+                                     paired=True),
     EnsembleTag.COE: Ensemble("circle", "sample_coe"),
     EnsembleTag.CSE: Ensemble("circle", "sample_cse", half_dimension=True),
     EnsembleTag.GUE_WIGNER: Ensemble("line", "gue_wigner"),

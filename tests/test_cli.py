@@ -783,6 +783,13 @@ def refuse_to_sample(n, key):
     raise NumericalFailureError("determinant not within tolerance")
 
 
+def shift_one_angle(measure):
+    """The measure with its smallest angle moved up by 1e-6."""
+    atoms = measure.atoms.copy()
+    atoms[0] += 1e-6
+    return EmpiricalMeasureCircle(atoms)
+
+
 class TestVerify:
     def test_transport_oracle_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "transport-oracle",
@@ -817,8 +824,10 @@ class TestVerify:
         ("sample_cse", ensembles.haar_unitary, 20),  # unitary but not self-dual
         # a Q off the group by 0.1%: each of the eight circle rows must refuse it
         ("qr_positive", lambda g: 1.001 * matlin.qr_positive(g), 160),
+        # a paired route off the Cayley route: each draw of the four paired rows counts
+        ("eig_paired_angles", lambda u: shift_one_angle(matlin.eig_paired_angles(u)), 80),
     ], ids=["so-certificate-fails", "coe-not-symmetric", "cse-not-self-dual",
-            "every-row-certifies-its-q"])
+            "every-row-certifies-its-q", "paired-route-shifts-an-angle"])
     def test_group_membership_suite_counts_failures(self, capsys, monkeypatch, name, fake,
                                                     violations):
         # the samplers look these names up at call time, so the patch reaches them

@@ -30,6 +30,7 @@ from speclab.matlin import (
     UnitaryView,
     det_lu,
     eig_hermitian,
+    eig_paired_angles,
     eig_unitary_angles,
     hs_norm,
     qr_positive,
@@ -213,13 +214,13 @@ class TestSymplectic:
 
     def test_pooled_benchmark_pin(self):
         # perfbench's pooled_distance workload samples these 64 Sp(32)
-        # spectra through the CLI and pins their pooled distance to the
-        # uniform law at 1e-12 in perfbench/reference.json
+        # spectra through the CLI, by the row's own route, and pins their
+        # pooled distance to the uniform law at 1e-12 in perfbench/reference.json
         with open(REFERENCE, encoding="utf-8") as fh:
             reference = json.load(fh)
+        row = ENSEMBLES[EnsembleTag.SYMPLECTIC]
         atoms = np.concatenate([
-            eig_unitary_angles(haar_symplectic(64, StreamKey(reference["seed"], "symplectic",
-                                                             64, r))).atoms
+            row.spectrum(64, StreamKey(reference["seed"], "symplectic", 64, r)).atoms
             for r in range(64)
         ])
         d = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
@@ -489,13 +490,22 @@ class TestEnsembleTable:
             EnsembleTag.CSE: sample_cse,
             EnsembleTag.GUE_WIGNER: gue_wigner,
         }[tag]
-        eig = eig_hermitian if tag is EnsembleTag.GUE_WIGNER else eig_unitary_angles
         row, n = ENSEMBLES[tag], 6
         k = key(f"row_{tag.value}", n, 2)
         draw = row.sample(n, k)
         assert draw.entries.shape == (n, n)
         assert np.array_equal(draw.entries, sampler(n, k).entries)
-        assert np.array_equal(row.spectrum(n, k).atoms, eig(draw).atoms)
+        assert np.array_equal(row.spectrum(n, k).atoms, row.eig(draw).atoms)
+
+    def test_each_row_names_its_eigensolver(self):
+        # the conjugation-symmetric groups take the paired route, other circle rows Cayley
+        paired = {EnsembleTag.ORTHOGONAL, EnsembleTag.SO, EnsembleTag.SO_MINUS,
+                  EnsembleTag.SYMPLECTIC}
+        for tag, row in ENSEMBLES.items():
+            assert row.paired == (tag in paired)
+            want = (eig_hermitian if row.domain == "line"
+                    else eig_paired_angles if tag in paired else eig_unitary_angles)
+            assert row.eig is want
 
 
 class TestDeterminismAcrossSamplers:

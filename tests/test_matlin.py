@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from speclab import matlin
-from speclab.ensembles import haar_so, haar_so_minus, haar_unitary, sample_cse
+from speclab.ensembles import (ENSEMBLES, EnsembleTag, haar_so, haar_so_minus, haar_unitary,
+                               sample_cse)
 from speclab.errors import ContractError, DegenerateInputError, NumericalFailureError
 from speclab.matlin import (
     ComplexMatrix,
     HermitianView,
     UnitaryView,
     eig_hermitian,
+    eig_paired_angles,
     eig_unitary_angles,
     hs_norm,
     qr_positive,
     ritz_bounds,
 )
 from speclab.rng import StreamKey
+from speclab.transport import w1_circle_uniform
 
 TWO_PI = 2 * np.pi
 
@@ -333,6 +336,101 @@ class TestCayleyEdgeCases:
             forged.dim = forged.entries.shape[0]
             with pytest.raises((NumericalFailureError, ContractError)):
                 eig_unitary_angles(forged)
+
+
+def fallbacks_taken(monkeypatch):
+    """Record each Cayley fallback eig_paired_angles makes."""
+    taken = []
+    cayley = matlin.eig_unitary_angles
+
+    def recording(u):
+        taken.append(u.dim)
+        return cayley(u)
+
+    monkeypatch.setattr(matlin, "eig_unitary_angles", recording)
+    return taken
+
+
+def real_rotation(rng, angles, fixed=()):
+    """V diag(R(angle)..., fixed...) V^T for a random real orthogonal V, with R
+    the 2x2 rotation by each angle and each fixed eigenvalue +1 or -1; with
+    no rng, V = I, and each rotation's two cosines in (U + U*)/2 are equal."""
+    blocks = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in angles]
+    n = 2 * len(angles) + len(fixed)
+    d = np.zeros((n, n))
+    for j, b in enumerate(blocks):
+        d[2 * j:2 * j + 2, 2 * j:2 * j + 2] = b
+    for j, f in enumerate(fixed):
+        d[2 * len(angles) + j, 2 * len(angles) + j] = f
+    if rng is None:
+        return UnitaryView(d)
+    v = qr_positive(rng.normal(size=(n, n)))
+    return UnitaryView(v @ d @ v.T)
+
+
+PAIRED_TAGS = [t for t, row in ENSEMBLES.items() if row.paired]
+
+# Inputs the paired route must not certify: (their angles, a builder from an
+# rng and those angles).  Between them they trip each check: the determinant,
+# a stripped end, the guard near +-1 (alone in the plain rotations, whose
+# pairs tie exactly) and a pair's spread.
+CRAFTED = {
+    "so3-by-1e-9": ([0.0, 1e-9, -1e-9],
+                    lambda rng, _: real_rotation(rng, [1e-9], fixed=[1.0])),
+    "so3-by-1e-9-plain": ([0.0, 1e-9, -1e-9],
+                          lambda rng, _: real_rotation(None, [1e-9], fixed=[1.0])),
+    "o4-pair-near-pi": ([np.pi - 1e-9, np.pi + 1e-9, 1.0, -1.0],
+                        lambda rng, _: real_rotation(rng, [np.pi - 1e-9, 1.0])),
+    "o4-pair-near-pi-plain": ([np.pi - 1e-9, np.pi + 1e-9, 1.0, -1.0],
+                              lambda rng, _: real_rotation(None, [np.pi - 1e-9, 1.0])),
+    "not-conjugation-closed": ([0.4, 1.0, 3.0, 5.0], planted_unitary),
+    "det-one-not-closed-odd": ([0.5, 1.0, -1.5], planted_unitary),
+    "det-one-not-closed-even": ([0.5, 1.0, 2.0, -3.5], planted_unitary),
+}
+
+
+class TestEigPairedAngles:
+    @pytest.mark.parametrize("tag,n", [(t, n) for t in PAIRED_TAGS
+                                       for n in (1, 2, 3, 4, 5, 7, 8, 64, 128)
+                                       if n % 2 == 0 or not ENSEMBLES[t].half_dimension],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_matches_cayley_on_the_same_draws(self, monkeypatch, tag, n):
+        taken = fallbacks_taken(monkeypatch)
+        row = ENSEMBLES[tag]
+        for r in range(16):
+            draw = row.sample(n, StreamKey(41, tag.value, n, r))
+            got, want = eig_paired_angles(draw), eig_unitary_angles(draw)
+            assert circular_gap(got.atoms, want.atoms) <= 1e-10
+            assert abs(w1_circle_uniform(got) - w1_circle_uniform(want)) <= 1e-12
+        assert taken == []  # every Haar draw here is certified without Cayley
+
+    @pytest.mark.parametrize("tag,n,want", [(EnsembleTag.SO, 1, [0.0]),
+                                            (EnsembleTag.SO_MINUS, 1, [np.pi]),
+                                            (EnsembleTag.SO_MINUS, 2, [0.0, np.pi])],
+                             ids=["so1", "so_minus1", "so_minus2"])
+    def test_forced_eigenvalues_are_exact(self, tag, n, want):
+        for r in range(8):
+            got = ENSEMBLES[tag].spectrum(n, StreamKey(42, tag.value, n, r)).atoms
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_uncertified_input_falls_back_to_cayley(self, monkeypatch, case):
+        target, build = CRAFTED[case]
+        u = build(np.random.default_rng(43), target)
+        taken = fallbacks_taken(monkeypatch)
+        got = eig_paired_angles(u).atoms
+        assert circular_gap(got, eig_unitary_angles(u).atoms) <= 1e-12
+        assert circular_gap(got, np.mod(target, TWO_PI)) <= 1e-12
+        assert taken == [u.dim]
+
+    def test_non_unitary_input_rejected(self):
+        # a view that skipped its own check falls back to Cayley, which refuses it
+        for bad in (2 * np.eye(3), [[1.0, 1.0], [0.0, 1.0]], np.diag([1.0, 1j * 1.001])):
+            forged = object.__new__(UnitaryView)
+            forged.entries = ComplexMatrix(bad).entries
+            forged.dim = forged.entries.shape[0]
+            with pytest.raises((NumericalFailureError, ContractError)):
+                eig_paired_angles(forged)
 
 
 def unrecognized(name):
