@@ -4,8 +4,7 @@ experiment plans, and verifying property suites.
 Exit codes: 0 success/verified, 1 runtime or data error, 2 usage or schema
 error.  Commands refuse by raising: ``main`` alone prints the one
 ``error: <message>`` line, and exits 2 for a ``UsageError`` and 1 for any
-other ``SpeclabError`` or a ``MemoryError``.  The environment variable
-SPECLAB_SEED overrides a plan's seed; explicit --seed flags override both.
+other ``SpeclabError`` or a ``MemoryError``.
 
 ``experiments``, and with it the process pool, is imported only inside the
 commands that run plans or property suites (``experiment`` and ``verify``),
@@ -34,7 +33,7 @@ from . import __version__
 from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag, _j_times
 from .errors import SpeclabError, ContractError
 from .matlin import eig_unitary_angles, hold_heap, hs_norm
-from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine
+from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine, widest_gap_middle
 from .rng import StreamKey
 from .transport import (
     ORACLE_MAX_ATOMS,
@@ -227,18 +226,12 @@ def cmd_distance(args) -> int:
 
 def load_plan(path: str, seed_override: int | None = None) -> ExperimentPlan:
     """The plan in a JSON plan file, its seed taken from ``seed_override``,
-    else SPECLAB_SEED, else the file."""
+    else the file."""
     from .experiments import ExperimentPlan
 
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    seed = seed_override
-    if seed is None and (env := os.environ.get("SPECLAB_SEED")) is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ContractError(f"SPECLAB_SEED must be an integer, got {env!r}") from None
-    return ExperimentPlan.from_json(raw, seed=seed)
+    return ExperimentPlan.from_json(raw, seed=seed_override)
 
 
 def records_to_csv(records) -> str:
@@ -377,9 +370,7 @@ def _verify_transport_oracle(trials: int, seed: int) -> int:
 def _angle_gap(got: np.ndarray, want: np.ndarray) -> float:
     """Largest difference between two angle multisets of one size, matched in
     sorted order around the circle from the middle of want's widest gap."""
-    ring = np.sort(want)
-    widths = np.diff(ring, append=ring[0] + TWO_PI)
-    cut = ring[np.argmax(widths)] + np.max(widths) / 2.0
+    cut = widest_gap_middle(want)
     return float(np.max(np.abs(np.sort(np.mod(got - cut, TWO_PI))
                                - np.sort(np.mod(want - cut, TWO_PI)))))
 
@@ -475,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=None,
-                   help="override the plan seed (precedence: flag > SPECLAB_SEED > plan)")
+                   help="override the plan seed")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("manifest-check",

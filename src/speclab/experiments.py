@@ -36,6 +36,8 @@ from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
 
+WILSON_Z = 1.959963984540054  # the normal 97.5% quantile: a two-sided 95% interval
+
 
 def _show(value) -> str:
     """A plan value as JSON writes it, for refusal messages."""
@@ -273,14 +275,14 @@ def fit_loglog(points) -> RateFitResult:
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ContractError("need at least one trial")
     p = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p + z**2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
+    denom = 1.0 + WILSON_Z**2 / trials
+    center = (p + WILSON_Z**2 / (2 * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1 - p) / trials + WILSON_Z**2 / (4 * trials**2)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 

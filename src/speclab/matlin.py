@@ -34,7 +34,7 @@ import os
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, NumericalFailureError
-from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine
+from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine, widest_gap_middle
 
 
 class ComplexMatrix:
@@ -231,10 +231,7 @@ def eig_unitary_angles(u: UnitaryView) -> EmpiricalMeasureCircle:
         raise NumericalFailureError("Cayley transform is singular at every fixed shift")
     to_pole = np.abs(np.mod(angles - (np.pi - alpha) + np.pi, TWO_PI) - np.pi)
     if np.min(to_pole) < POLE_GUARD / n:
-        ring = np.sort(angles)
-        widths = np.diff(ring, append=ring[0] + TWO_PI)
-        j = int(np.argmax(widths))
-        angles, defect = _cayley_angles(a, np.pi - (ring[j] + widths[j] / 2.0))
+        angles, defect = _cayley_angles(a, np.pi - widest_gap_middle(angles))
         if angles is None:
             raise NumericalFailureError("Cayley transform is singular after the pole shift")
     if not defect <= 1e-9 * np.sqrt(n):  # a NaN defect fails too

@@ -13,6 +13,15 @@ from .errors import ContractError
 TWO_PI = 2.0 * np.pi
 
 
+def widest_gap_middle(angles) -> float:
+    """The middle of the widest gap between angles taken in order around the
+    circle; it lies past 2*pi when that gap wraps through 0."""
+    ring = np.sort(angles)
+    widths = np.diff(ring, append=ring[0] + TWO_PI)
+    j = int(np.argmax(widths))
+    return float(ring[j] + widths[j] / 2.0)
+
+
 class _EmpiricalMeasure:
     """Uniform measure on n sorted, finite, read-only atoms: the one
     constructor of both domains, whose messages name the subclass's noun."""

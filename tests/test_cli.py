@@ -445,19 +445,19 @@ class TestExperiment:
         assert moments == [vars(e) for e in expected]
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
+        # flag > plan file; the environment sets no seed
         plan = write_plan(tmp_path / "plan.json", seed=7)
-        out_plan = tmp_path / "p"
-        out_env = tmp_path / "e"
-        out_flag = tmp_path / "f"
-        run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(out_plan))
-        monkeypatch.setenv("SPECLAB_SEED", "99")
-        run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(out_env))
-        run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(out_flag),
+        run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(tmp_path / "p"))
+        run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(tmp_path / "f"),
+                "--seed", "99")
+        run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(tmp_path / "s"),
                 "--seed", "7")
-        monkeypatch.delenv("SPECLAB_SEED")
-        plan_bytes = (out_plan / "records.csv").read_bytes()
-        assert (out_env / "records.csv").read_bytes() != plan_bytes
-        assert (out_flag / "records.csv").read_bytes() == plan_bytes
+        monkeypatch.setenv("SPECLAB_SEED", "99")
+        run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(tmp_path / "e"))
+        plan_bytes = (tmp_path / "p" / "records.csv").read_bytes()
+        assert (tmp_path / "f" / "records.csv").read_bytes() != plan_bytes
+        assert (tmp_path / "s" / "records.csv").read_bytes() == plan_bytes
+        assert (tmp_path / "e" / "records.csv").read_bytes() == plan_bytes
 
     def test_invalid_plan_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "plan.json"
@@ -466,17 +466,6 @@ class TestExperiment:
                                "--out", str(tmp_path / "out"))
         assert code == 2
         assert err
-
-    def test_non_integer_seed_variable_exits_2(self, tmp_path, capsys, monkeypatch):
-        plan = write_plan(tmp_path / "plan.json")
-        monkeypatch.setenv("SPECLAB_SEED", "abc")
-        code, out, err = run_cli(capsys, "experiment", "--plan", str(plan),
-                                 "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "SPECLAB_SEED" in err
-        assert len(err.splitlines()) == 1
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("replicates", "ten"), ("replicates", float("inf")), ("n_grid", [4, "eight"]),

@@ -1,7 +1,8 @@
 """The import layering the README's Library sketch states: each module imports
 only the modules above it in the table, plus ``errors`` and ``rng``.  And no
 library code that only the tests reach: every top-level definition is reached
-from ``cli.main`` or from module-level code."""
+from ``cli.main`` or from module-level code.  And no number that depends on
+the environment: one function reads it, to record the thread variables."""
 
 import ast
 import os
@@ -99,3 +100,36 @@ def test_every_top_level_definition_is_reached():
             reached.add(name)
             frontier.update(*map(referenced_names, definitions[name]))
     assert sorted(set(definitions) - reached) == sorted(TEST_ONLY)
+
+
+#: the process environment as a module attribute or a bare imported name
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_readers(module: str) -> set:
+    """``module.function`` for each top-level function or method that names
+    the environment, and ``module`` for module-level code that does."""
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+
+    def scan(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == module:
+            owner = f"{module}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+                or isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES
+                or isinstance(node, ast.alias) and node.name in ENVIRONMENT_NAMES):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            scan(child, owner)
+
+    scan(tree, module)
+    return found
+
+
+def test_only_the_manifest_reads_the_environment():
+    # a seed or tolerance read from the environment would change a number
+    # that the command line does not show; the manifest only records threads
+    readers = set().union(*(environment_readers(f[:-3]) for f in sorted(os.listdir(SRC))
+                            if f.endswith(".py")))
+    assert readers == {"cli._environment"}

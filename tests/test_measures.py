@@ -10,6 +10,7 @@ from speclab.measures import (
     EmpiricalMeasureCircle,
     EmpiricalMeasureLine,
     pool,
+    widest_gap_middle,
 )
 from speclab.rng import StreamKey
 from speclab.transport import w1_circle_uniform
@@ -111,3 +112,23 @@ def test_rotation_equivariance_of_distance():
         d0 = w1_circle_uniform(EmpiricalMeasureCircle(atoms))
         d1 = w1_circle_uniform(EmpiricalMeasureCircle(np.mod(atoms + phi, TWO_PI)))
         assert d0 == pytest.approx(d1, abs=1e-10)
+
+
+class TestWidestGapMiddle:
+    @pytest.mark.parametrize("angles,middle", [
+        ([4.0, 0.5, 1.0], 2.5),                 # an inner gap, from unsorted angles
+        ([3.0, 4.0, 5.0], 4.0 + np.pi),         # the gap through 0: past 2*pi
+        ([1.0], 1.0 + np.pi),                   # one angle: its antipode
+    ])
+    def test_known_gaps(self, angles, middle):
+        assert widest_gap_middle(np.array(angles)) == pytest.approx(middle, abs=1e-15)
+
+    def test_farthest_from_every_angle(self):
+        # the middle of the widest gap is half that gap from its nearest angle
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            angles = rng.uniform(0, TWO_PI, int(rng.integers(1, 12)))
+            ring = np.sort(angles)
+            widest = np.max(np.diff(ring, append=ring[0] + TWO_PI))
+            gaps = np.abs(np.mod(angles - widest_gap_middle(angles) + np.pi, TWO_PI) - np.pi)
+            assert np.min(gaps) == pytest.approx(widest / 2.0, abs=1e-12)
