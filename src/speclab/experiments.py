@@ -36,7 +36,7 @@ from .measures import EmpiricalMeasureLine, pool
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
 
-WILSON_Z = 1.959963984540054  # the normal 97.5% quantile: a two-sided 95% interval
+Z95 = 1.959963984540054  # the normal 97.5% quantile: two-sided 95% intervals
 
 
 def _show(value) -> str:
@@ -280,9 +280,9 @@ def wilson_interval(successes: int, trials: int):
     if trials <= 0:
         raise ContractError("need at least one trial")
     p = successes / trials
-    denom = 1.0 + WILSON_Z**2 / trials
-    center = (p + WILSON_Z**2 / (2 * trials)) / denom
-    half = WILSON_Z * math.sqrt(p * (1 - p) / trials + WILSON_Z**2 / (4 * trials**2)) / denom
+    denom = 1.0 + Z95**2 / trials
+    center = (p + Z95**2 / (2 * trials)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / trials + Z95**2 / (4 * trials**2)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -389,7 +389,7 @@ def _summarize(n, x, values):
     values = np.asarray(values, dtype=np.float64)
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1))
-    half = 1.959963984540054 * std / math.sqrt(values.size)
+    half = Z95 * std / math.sqrt(values.size)
     return PerDimensionSummary(n=n, x=float(x), mean=mean, std=std,
                                ci95_low=mean - half, ci95_high=mean + half)
 

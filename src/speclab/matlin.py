@@ -1,10 +1,11 @@
-"""Dense complex linear algebra: norms, QR with positive diagonal,
-Hermitian and unitary eigendecompositions, and Ritz inner bounds on a
-Hermitian spectrum.
+"""Dense linear algebra: norms, QR with positive diagonal, Hermitian and
+unitary eigendecompositions, and Ritz inner bounds on a Hermitian spectrum.
 
 The matrix views are immutable after construction and safe to share between
 threads; their constructor checks make the Hermitian/unitary assumptions
-explicit rather than trusted.  The plain-matrix helpers take arrays.
+explicit rather than trusted.  A view holds float64 entries for real input and
+complex128 for complex input (``ComplexMatrix`` keeps its name: a real matrix
+is a complex one too); the plain-matrix helpers take arrays.
 Eigensolvers are LAPACK-backed (via numpy) and return the empirical spectral
 measure types of ``measures``.
 
@@ -38,16 +39,16 @@ from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine, wide
 
 
 class ComplexMatrix:
-    """Dense n-by-n complex matrix with finiteness checked at construction.
-
-    ``HermitianView`` and ``UnitaryView`` run these checks on raw entries and
-    then certify their property.
-    """
+    """Dense n-by-n matrix, finite by construction: a read-only copy of the
+    input, float64 if that is real (float, integer or bool) and complex128 if
+    complex.  Real matrices are complex ones too, and perfbench traces this
+    name.  ``HermitianView`` and ``UnitaryView`` run these checks on raw
+    entries and then certify their property."""
 
     __slots__ = ("entries", "dim")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=np.complex128)
+        arr = np.array(entries, dtype=np.complex128 if np.iscomplexobj(entries) else np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ContractError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -281,8 +282,6 @@ def eig_paired_angles(u: UnitaryView) -> EmpiricalMeasureCircle:
     """
     n = u.dim
     a = u.entries
-    if not a.imag.any():
-        a = a.real
     det = det_lu(a)
     s = 1.0 if det.real >= 0.0 else -1.0
     if abs(det - s) > 1e-8 * n:

@@ -1,6 +1,7 @@
-"""The Tier-1 workflow runs the installed ``speclab verify`` and then
-ROADMAP.md's Tier-1 command, with every thread variable the CLI records at
-one, on the Python floor pyproject.toml declares and on 3.11."""
+"""The Tier-1 workflow installs the package's ``test`` extra alone, runs the
+installed ``speclab verify`` and then ROADMAP.md's Tier-1 command, with every
+thread variable the CLI records at one, on the Python floor pyproject.toml
+declares and on 3.11."""
 
 import os
 import re
@@ -26,4 +27,11 @@ def test_tier1_workflow_runs_the_roadmap_command():
     assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
     assert job["env"] == {name: "1" for name in cli.THREAD_VARS}
     runs = [step.get("run") for step in job["steps"]]
-    assert runs[-2:] == ["speclab verify --suite all --trials 50", command]
+    assert runs[-3:] == ['python -m pip install ".[test]"',
+                         "speclab verify --suite all --trials 50", command]
+
+
+def test_the_test_extra_brings_this_module_its_yaml():
+    # the workflow installs only ".[test]", so that extra must carry pyyaml
+    extra = re.search(r"^test = \[([^\]]*)\]", read("pyproject.toml"), re.M).group(1)
+    assert '"pyyaml"' in extra.split(", ")

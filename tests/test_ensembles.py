@@ -145,7 +145,7 @@ class TestRealGroups:
 
         monkeypatch.setattr(ensembles, "qr_positive", recording)
         u = sampler(8, key("real_dtype", 8))
-        assert dtypes == [np.float64] and u.entries.dtype == np.complex128
+        assert dtypes == [np.float64] and u.entries.dtype == np.float64
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64])
     @pytest.mark.parametrize("sampler, target", [(haar_orthogonal, None), (haar_so, 1.0),

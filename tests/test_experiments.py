@@ -299,6 +299,42 @@ class TestRateExperiment:
         assert means[0] > means[1] > means[2]
 
 
+# The d1 records, in record order, of every row that perfbench's pins do not
+# reach: a plan at SEED on n_grid (3, 8), or (4, 8) for the half-dimension rows,
+# with 3 replicates and k = n/2 for compressions.  A refactor that moves one of
+# them by more than perfbench's tolerance, 1e-12, fails here.
+ROW_D1 = {
+    EnsembleTag.ORTHOGONAL: (1.5170870134766223, 0.5849642220258616, 0.5311733290563933,
+                             0.251155196606712, 0.27618540672401637, 0.36526505702100903),
+    EnsembleTag.SO: (0.5253135123873045, 0.5395850327066153, 0.6832755583037533,
+                     0.3164009311545861, 0.30154911997247474, 0.2181698243891361),
+    EnsembleTag.SO_MINUS: (0.6695503701948259, 0.5471822298621892, 0.5505128371607066,
+                           0.23047381990724788, 0.29647231136283403, 0.4188493866113012),
+    EnsembleTag.SU: (0.553565931434204, 0.7948934193621535, 0.5625027738348374,
+                     0.23675615470983666, 0.26490375057656557, 0.26182438585884865),
+    EnsembleTag.SYMPLECTIC: (0.6228734043750108, 0.6227436947670273, 0.602832312001919,
+                             0.2012874654164507, 0.26699213228719704, 0.3117067958252015),
+    EnsembleTag.COE: (0.6225546679411987, 0.6677752005615211, 0.6993563868449603,
+                      0.34307009770108116, 0.3065180706518032, 0.2678542386039965),
+    EnsembleTag.CSE: (0.8919856652303223, 0.8441696999503456, 0.8130139622199679,
+                      0.4553478450022037, 0.4322977056311047, 0.45192080743727375),
+    EnsembleTag.GUE_WIGNER: (0.44257284572566696, 0.3792501205303505, 0.6050254524880319,
+                             0.20078552394848495, 0.14415922047367224, 0.21596636197600272),
+    EnsembleTag.COMPRESSION: (0.47145124959804313, 0.979945352954177, 0.3551099253030563,
+                              0.2940313030231109, 0.25684608142971527, 0.25362672045461704),
+}
+
+
+@pytest.mark.parametrize("tag", list(ROW_D1), ids=lambda t: t.value)
+def test_row_d1_pins(tag):
+    row = ENSEMBLES[tag]
+    plan = ExperimentPlan(tag, (4, 8) if row.half_dimension else (3, 8), 3, SEED,
+                          k_rule="half" if row.kn_abscissa else None)
+    d1 = [rec.value for rec in run_rate_experiment(plan).records if rec.statistic == "d1"]
+    assert len(d1) == len(ROW_D1[tag])
+    assert np.max(np.abs(np.subtract(d1, ROW_D1[tag]))) <= 1e-12
+
+
 class TestConcentration:
     def test_tails_and_fit(self):
         plan = ExperimentPlan(EnsembleTag.UNITARY, (8, 16, 32), 40, SEED,

@@ -90,6 +90,21 @@ class TestConstructors:
         assert held.tobytes() == raw.tobytes()
         assert not held.flags.writeable
 
+    @pytest.mark.parametrize("dtype,held", [(bool, np.float64), (np.int64, np.float64),
+                                            (np.float32, np.float64), (np.float64, np.float64),
+                                            (np.complex64, np.complex128),
+                                            (np.complex128, np.complex128)])
+    def test_real_input_stays_real(self, dtype, held):
+        given = np.eye(3, dtype=dtype)
+        m = ComplexMatrix(given)
+        assert m.entries.dtype == held and np.array_equal(m.entries, given)
+        assert m.entries is not given and not m.entries.flags.writeable
+        assert given.flags.writeable  # the caller's array is copied, not frozen
+
+    def test_nested_lists_take_their_number_class(self):
+        assert ComplexMatrix([[1, 0], [0, 1]]).entries.dtype == np.float64
+        assert ComplexMatrix([[1j, 0], [0, 1]]).entries.dtype == np.complex128
+
     def test_unitary_view_rejects_scaled_identity(self):
         with pytest.raises(ContractError):
             UnitaryView(2 * np.eye(3))
@@ -99,7 +114,7 @@ class TestConstructors:
 def test_matrix_unpickles_certified_and_read_only(cls):
     m = pickle.loads(pickle.dumps(cls(np.eye(2))))
     assert type(m) is cls
-    assert np.array_equal(m.entries, np.eye(2))
+    assert np.array_equal(m.entries, np.eye(2)) and m.entries.dtype == np.float64
     assert not m.entries.flags.writeable
     # unpickling runs the constructor's checks again, so tampered entries are refused
     tampered = cls(np.eye(2))
@@ -422,6 +437,32 @@ class TestEigPairedAngles:
         assert circular_gap(got, eig_unitary_angles(u).atoms) <= 1e-12
         assert circular_gap(got, np.mod(target, TWO_PI)) <= 1e-12
         assert taken == [u.dim]
+
+    @pytest.mark.parametrize("tag", PAIRED_TAGS, ids=lambda t: t.value)
+    def test_real_groups_solve_in_real_arithmetic(self, monkeypatch, tag):
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            dtypes.append(a.dtype)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(matlin.np.linalg, "eigvalsh", recording)
+        eig_paired_angles(ENSEMBLES[tag].sample(8, StreamKey(44, tag.value, 8, 0)))
+        assert dtypes == [np.complex128 if tag is EnsembleTag.SYMPLECTIC else np.float64]
+
+    @pytest.mark.parametrize("tag", [t for t in PAIRED_TAGS if t is not EnsembleTag.SYMPLECTIC],
+                             ids=lambda t: t.value)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    def test_complex_copy_of_a_real_draw_gives_its_angles(self, tag, n):
+        # a complex128 view of a real draw, with zero imaginary parts, gives
+        # the float64 view's angles on both routes
+        for r in range(4):
+            real = ENSEMBLES[tag].sample(n, StreamKey(45, tag.value, n, r))
+            widened = UnitaryView(real.entries.astype(np.complex128))
+            assert widened.entries.dtype == np.complex128
+            for eig in (eig_paired_angles, eig_unitary_angles):
+                assert circular_gap(eig(widened).atoms, eig(real).atoms) <= 1e-12
 
     def test_non_unitary_input_rejected(self):
         # a view that skipped its own check falls back to Cayley, which refuses it
