@@ -32,7 +32,7 @@ from .ensembles import (
 )
 from .errors import ContractError, SpeclabError
 from .matlin import HermitianView, eig_hermitian, hold_heap, hs_norm, ritz_bounds
-from .measures import EmpiricalMeasureLine, pool
+from .measures import EmpiricalMeasureLine
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
 
@@ -424,9 +424,9 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
     plan sets ``t_grid``; the trace moments when it sets ``moments_kmax``.
 
     Circle ensembles measure against the uniform law; line models use a
-    split-sample pooled reference: replicates 0..m-1 build the pool and
-    replicates m..2m-1 are measured against it.  Every cell of the plan goes
-    through one ``_parallel_map`` call.
+    split-sample pooled reference: the concatenated spectra of replicates
+    0..m-1, in replicate order, against which replicates m..2m-1 are
+    measured.  Every cell of the plan goes through one ``_parallel_map`` call.
     """
     tag, m = plan.ensemble, plan.replicates
     row = ENSEMBLES[tag]
@@ -438,7 +438,8 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
     for i, n in enumerate(plan.n_grid):
         block = cells[i * reps:(i + 1) * reps]
         if first:
-            pooled = pool(c["spectrum"] for c in block[:first])
+            pooled = EmpiricalMeasureLine(np.concatenate([c["spectrum"].atoms
+                                                          for c in block[:first]]))
             for c in block[first:]:
                 c["d1"] = _d1_to_pooled(c["spectrum"], pooled)
         for r in range(first, reps):

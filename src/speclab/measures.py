@@ -1,4 +1,5 @@
-"""Empirical spectral measures on the circle and the line, and pooling.
+"""Empirical spectral measures on the circle and the line, and the middle of
+the widest gap between angles.
 
 This is the bottom layer: the eigensolvers in ``matlin`` return the measure
 types defined here, so the module imports no speclab module but ``errors``.
@@ -48,7 +49,6 @@ class _EmpiricalMeasure:
 class EmpiricalMeasureCircle(_EmpiricalMeasure):
     """Uniform measure on n angle atoms in [0, 2*pi)."""
 
-    domain = "circle"
     noun = "angles"
     __slots__ = ()
 
@@ -61,26 +61,6 @@ class EmpiricalMeasureCircle(_EmpiricalMeasure):
 class EmpiricalMeasureLine(_EmpiricalMeasure):
     """Uniform measure on n real atoms."""
 
-    domain = "line"
     noun = "values"
     __slots__ = ()
 
-
-def pool(samples):
-    """Uniform measure on the multiset union of equally-sized samples, of the
-    samples' own measure type.
-
-    Inputs must share a domain and atom count; callers sort by replicate
-    index upstream so the result is deterministic.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ContractError("cannot pool zero samples")
-    domain = samples[0].domain
-    n = len(samples[0])
-    for s in samples[1:]:
-        if s.domain != domain:
-            raise ContractError("cannot pool measures from different domains")
-        if len(s) != n:
-            raise ContractError("cannot pool measures with different atom counts")
-    return type(samples[0])(np.concatenate([s.atoms for s in samples]))

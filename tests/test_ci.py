@@ -1,7 +1,7 @@
 """The Tier-1 workflow installs the package's ``test`` extra alone, runs the
 installed ``speclab verify`` and then ROADMAP.md's Tier-1 command, with every
 thread variable the CLI records at one, on the Python floor pyproject.toml
-declares and on 3.11."""
+declares and on 3.11, under a job timeout."""
 
 import os
 import re
@@ -26,6 +26,8 @@ def test_tier1_workflow_runs_the_roadmap_command():
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", read("ROADMAP.md")).group(1)
     assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
     assert job["env"] == {name: "1" for name in cli.THREAD_VARS}
+    # the suite forks pool workers: a stuck one must not hold the runner for hours
+    assert 0 < job["timeout-minutes"] <= 30
     runs = [step.get("run") for step in job["steps"]]
     assert runs[-3:] == ['python -m pip install ".[test]"',
                          "speclab verify --suite all --trials 50", command]

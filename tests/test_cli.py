@@ -123,6 +123,18 @@ class TestDistance:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(8 / (3 * np.pi), abs=1e-8)
 
+    def test_subnormal_gap_vs_semicircle_prints_no_warning(self, tmp_path):
+        # qagse stops with ier = 3 on a segment of subnormal width; that segment
+        # adds nothing measurable, so it takes the midpoint rule and no warning
+        path = tmp_path / "subnormal.csv"
+        write_line_csv(path, [0.0] * 6 + [2.8005435758968716e-307])
+        proc = subprocess.run([sys.executable, "-c", LAUNCH, "distance", "--input", str(path),
+                               "--reference", "semicircle"],
+                              env=launch_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert "warning:" not in proc.stderr
+        assert json.loads(proc.stdout)["value"] == pytest.approx(0.8488263631501238, abs=1e-12)
+
     def test_pair_of_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_roots_csv(a, 4)

@@ -20,7 +20,7 @@ from speclab.experiments import (
     wilson_interval,
 )
 from speclab.matlin import HermitianView, UnitaryView, eig_hermitian, hold_heap
-from speclab.measures import EmpiricalMeasureLine, pool
+from speclab.measures import EmpiricalMeasureLine
 from speclab.rng import StreamKey
 from speclab.transport import wp_line
 
@@ -253,7 +253,7 @@ class TestRateExperiment:
         res = run_rate_experiment(ExperimentPlan(tag, (n,), m, SEED))
         spectra = [eig_hermitian(randomized_sum(*randomized_sum_factors(
             n, StreamKey(SEED, tag.value, n, r)))) for r in range(2 * m)]
-        pooled = pool(spectra[:m])
+        pooled = EmpiricalMeasureLine(np.concatenate([s.atoms for s in spectra[:m]]))
         d1 = [rec.value for rec in res.records if rec.statistic == "d1"]
         assert d1 == [_d1_to_pooled(s, pooled) for s in spectra[m:]]
 

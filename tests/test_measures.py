@@ -9,7 +9,6 @@ from speclab.matlin import HermitianView, UnitaryView, eig_hermitian, eig_unitar
 from speclab.measures import (
     EmpiricalMeasureCircle,
     EmpiricalMeasureLine,
-    pool,
     widest_gap_middle,
 )
 from speclab.rng import StreamKey
@@ -77,20 +76,6 @@ def test_measure_unpickles_read_only(cls):
 
 
 class TestPool:
-    def test_single_sample_identity(self):
-        m = EmpiricalMeasureCircle([0.1, 0.2])
-        p = pool([m])
-        assert np.array_equal(p.atoms, m.atoms)
-
-    def test_two_singletons(self):
-        p = pool([EmpiricalMeasureCircle([0.0]), EmpiricalMeasureCircle([np.pi])])
-        assert np.allclose(p.atoms, [0.0, np.pi])
-        assert len(p) == 2
-
-    def test_mixed_domains_rejected(self):
-        with pytest.raises(ContractError):
-            pool([EmpiricalMeasureCircle([0.0]), EmpiricalMeasureLine([0.0])])
-
     def test_pooled_unitary_angles_near_uniform(self):
         from scipy import stats
 
@@ -98,8 +83,8 @@ class TestPool:
         for r in range(1000):
             u = haar_unitary(8, StreamKey(20260826, "pool_unif", 8, r))
             samples.append(eig_unitary_angles(u))
-        pooled = pool(samples)
-        ks = stats.kstest(pooled.atoms / TWO_PI, "uniform").statistic
+        pooled = np.concatenate([m.atoms for m in samples])
+        ks = stats.kstest(pooled / TWO_PI, "uniform").statistic
         assert ks <= 0.02
 
 
