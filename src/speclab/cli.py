@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag, _j_times
 from .errors import SpeclabError, ContractError
-from .matlin import eig_unitary_angles, hold_heap, hs_norm
+from .matlin import eig_unitary_angles, hold_heap
 from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine, widest_gap_middle
 from .rng import StreamKey
 from .transport import (
@@ -64,10 +64,6 @@ class UsageError(SpeclabError):
 # the BLAS and OpenMP thread counts a run inherits; manifest.json records those set
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
 
 
 def _utcnow() -> str:
@@ -123,7 +119,7 @@ def cmd_sample(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["replicate"] + [f"{colname}_{i}" for i in range(n)])
     for r, spec in enumerate(spectra):
-        writer.writerow([r] + [_fmt(v) for v in spec])
+        writer.writerow([r] + [FLOAT_FMT % v for v in spec])
     payload = buf.getvalue()
     manifest = {
         "tool_version": __version__,
@@ -241,19 +237,26 @@ def records_to_csv(records) -> str:
     ordered = sorted(records, key=lambda r: (r.n, r.replicate, r.statistic))
     for rec in ordered:
         writer.writerow([rec.ensemble, rec.n, rec.replicate, rec.statistic,
-                         _fmt(rec.value), rec.seed])
+                         FLOAT_FMT % rec.value, rec.seed])
     return buf.getvalue()
 
 
 def _environment(heap_held: bool) -> dict:
     """The manifest's record of what ran a plan: the Python and numpy
-    versions, the thread variables set, the usable CPUs and whether the heap
-    is held.  A plan never imports scipy, so it has no version here."""
+    versions, numpy's BLAS library, the thread variables set, the usable CPUs
+    and whether the heap is held.  A plan never imports scipy, so it has no
+    version here."""
     from .experiments import usable_cpus
 
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # numpy before 1.26: show_config takes no mode
+        blas = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": blas,
         "threads": {name: os.environ[name] for name in THREAD_VARS if name in os.environ},
         "nproc": usable_cpus(),
         "heap_held": heap_held,
@@ -403,7 +406,7 @@ def _verify_group_membership(trials: int, seed: int) -> int:
                 m = draw.entries
                 if tag in (EnsembleTag.COE, EnsembleTag.CSE):  # M = M^T, M = J M^T J^T
                     dual = m.T if tag is EnsembleTag.COE else _j_times(_j_times(m).T)
-                    bad += int(hs_norm(dual - m) > 1e-10 * np.sqrt(amb))
+                    bad += int(np.linalg.norm(dual - m) > 1e-10 * np.sqrt(amb))
     return bad
 
 

@@ -31,7 +31,7 @@ from .ensembles import (
     sample_compression,
 )
 from .errors import ContractError, SpeclabError
-from .matlin import HermitianView, eig_hermitian, hold_heap, hs_norm, ritz_bounds
+from .matlin import HermitianView, eig_hermitian, hold_heap, ritz_bounds
 from .measures import EmpiricalMeasureLine
 from .rng import StreamKey, subkey
 from .transport import w1_circle_uniform, wp_line
@@ -502,18 +502,18 @@ def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8)
         ma, mb = eig_hermitian(a), eig_hermitian(b)
         ea, eb = ma.atoms, mb.atoms
         d2 = wp_line(ma, mb, 2.0)
-        if d2 > hs_norm(a.entries - b.entries) / math.sqrt(n) + slack:
+        if d2 > np.linalg.norm(a.entries - b.entries) / math.sqrt(n) + slack:
             hw += 1
 
         delta = ea[-1] - ea[0]  # the spectral diameter of A
-        uv = hs_norm(u.entries - v.entries)
+        uv = np.linalg.norm(u.entries - v.entries)
         uau = u.entries @ a.entries @ u.entries.conj().T
         vav = v.entries @ a.entries @ v.entries.conj().T
-        if hs_norm(uau - vav) > delta * uv + slack:
+        if np.linalg.norm(uau - vav) > delta * uv + slack:
             conj += 1
 
         k = int(sizes.integers(1, n + 1))
-        if hs_norm(uau[:k, :k] - vav[:k, :k]) > delta * uv + slack:
+        if np.linalg.norm(uau[:k, :k] - vav[:k, :k]) > delta * uv + slack:
             comp += 1
 
         if _weyl_violation(ea, eb, eig_hermitian(randomized_sum(a, b, u)).atoms, slack):

@@ -100,11 +100,6 @@ class UnitaryView(ComplexMatrix):
             )
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(a))
-
-
 def eig_hermitian(a: HermitianView) -> EmpiricalMeasureLine:
     """Empirical spectral measure of a Hermitian matrix: its eigenvalues,
     with multiplicity, as ascending atoms."""
@@ -138,7 +133,7 @@ def ritz_bounds(a: HermitianView) -> tuple[float, float]:
     exact extremes.
     """
     h = a.entries
-    scaled = h / (hs_norm(h) or 1.0)
+    scaled = h / (np.linalg.norm(h) or 1.0)
     krylov = np.empty((a.dim, RITZ_DIM), dtype=h.dtype)
     krylov[:, 0] = 1.0
     for j in range(1, RITZ_DIM):

@@ -7,8 +7,8 @@ brute-force minimal-assignment oracle for small instances.
 Each route returns its distance as a Python float.  The circle's canonical
 ground metric here is the geodesic (arc-length) metric, for which the CDF
 formula is exact.  The chordal metric |e^{it} - e^{is}| is sandwiched
-pointwise by (2/pi) geo <= chord <= geo; exact chordal values are available
-for small n through the assignment oracle.
+pointwise by (2/pi) geo <= chord <= geo; the assignment oracle takes the
+ground metric as a function, so it gives exact chordal values for small n.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ def geodesic_distance(theta, phi):
     """Arc-length distance on the circle, in [0, pi]."""
     d = np.abs(np.mod(theta - phi, TWO_PI))
     return np.minimum(d, TWO_PI - d)
-
-
-def chordal_distance(theta, phi):
-    """|e^{i theta} - e^{i phi}| = 2 sin(geodesic/2)."""
-    return 2.0 * np.sin(geodesic_distance(theta, phi) / 2.0)
 
 
 def _block_dp(small: np.ndarray, large: np.ndarray, p: float):
@@ -185,7 +180,8 @@ def w1_line_vs_cdf(m: EmpiricalMeasureLine, ref_cdf, support: tuple[float, float
 def assignment_oracle(m1, m2, ground, p: float = 1.0) -> float:
     """Exact d_p for equal-weight atoms as a minimal assignment (exact
     Hungarian-type solver) under the ground distance ``ground(x, y)``:
-    ``line_distance``, ``geodesic_distance`` or ``chordal_distance``.
+    ``line_distance``, ``geodesic_distance`` or any function of the same
+    form, such as a chordal metric on the circle.
     Deliberately limited to small n: this is the validation oracle, not the
     production path."""
     if len(m1) != len(m2):

@@ -1,7 +1,8 @@
 """The Tier-1 workflow installs the package's ``test`` extra alone, runs the
-installed ``speclab verify`` and then ROADMAP.md's Tier-1 command, with every
-thread variable the CLI records at one, on the Python floor pyproject.toml
-declares and on 3.11, under a job timeout."""
+installed ``speclab verify``, ``experiment`` and ``manifest-check`` and then
+ROADMAP.md's Tier-1 command, with every thread variable the CLI records at
+one, on the Python floor pyproject.toml declares and on 3.11, under a job
+timeout."""
 
 import os
 import re
@@ -29,8 +30,10 @@ def test_tier1_workflow_runs_the_roadmap_command():
     # the suite forks pool workers: a stuck one must not hold the runner for hours
     assert 0 < job["timeout-minutes"] <= 30
     runs = [step.get("run") for step in job["steps"]]
-    assert runs[-3:] == ['python -m pip install ".[test]"',
-                         "speclab verify --suite all --trials 50", command]
+    assert runs[-5:] == ['python -m pip install ".[test]"',
+                         "speclab verify --suite all --trials 50",
+                         "speclab experiment --plan plans/unitary_rate.json --out run --workers 2",
+                         "speclab manifest-check run", command]
 
 
 def test_the_test_extra_brings_this_module_its_yaml():

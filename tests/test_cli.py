@@ -413,6 +413,18 @@ class TestExperiment:
         assert code == 1
         assert "summary.json" in err and "OK" not in out
 
+    def test_manifest_names_numpy_blas(self, tmp_path, capsys):
+        plan, outdir = write_plan(tmp_path / "plan.json"), tmp_path / "run"
+        assert run_cli(capsys, "experiment", "--plan", str(plan), "--out", str(outdir))[0] == 0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        environment = json.loads((outdir / "manifest.json").read_text())["environment"]
+        assert environment["blas"] == f"{blas['name']} {blas['version']}"
+
+    def test_manifest_blas_is_null_where_numpy_cannot_name_it(self, monkeypatch):
+        # numpy before 1.26: show_config takes no mode, and prints
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert cli._environment(False)["blas"] is None
+
     @pytest.mark.parametrize("overrides,threshold", [
         ({"ensemble": "compression"}, "-0.25"),
         ({"ensemble": "unitary"}, "-0.6"),

@@ -59,14 +59,6 @@ def test_errors_and_rng_import_no_speclab_module(module):
     assert speclab_imports(module) <= {"errors"}
 
 
-#: top-level definitions that only the tests reach, each with its reason
-TEST_ONLY = {
-    # the exact chordal W1 that test_chordal_geodesic_sandwich computes with
-    # assignment_oracle, to check the chordal bracket ``distance`` prints
-    "chordal_distance",
-}
-
-
 def referenced_names(node) -> set:
     """Every name a node may reach: Name ids, attribute names, and string
     constants, since the ENSEMBLES rows name their samplers by string."""
@@ -99,7 +91,7 @@ def test_every_top_level_definition_is_reached():
         if name in definitions and name not in reached:
             reached.add(name)
             frontier.update(*map(referenced_names, definitions[name]))
-    assert sorted(set(definitions) - reached) == sorted(TEST_ONLY)
+    assert sorted(set(definitions) - reached) == []
 
 
 #: the process environment as a module attribute or a bare imported name

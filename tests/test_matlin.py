@@ -14,7 +14,6 @@ from speclab.matlin import (
     eig_hermitian,
     eig_paired_angles,
     eig_unitary_angles,
-    hs_norm,
     qr_positive,
     ritz_bounds,
 )
@@ -123,17 +122,6 @@ def test_matrix_unpickles_certified_and_read_only(cls):
         pickle.loads(pickle.dumps(tampered))
 
 
-class TestHsNorm:
-    def test_identity(self):
-        assert hs_norm(np.eye(3)) == pytest.approx(np.sqrt(3), abs=1e-14)
-
-    def test_zero(self):
-        assert hs_norm(np.zeros((2, 2))) == 0.0
-
-    def test_two_unit_entries(self):
-        assert hs_norm(np.array([[0, 1], [1, 0]])) == pytest.approx(np.sqrt(2), abs=1e-14)
-
-
 class TestQrPositive:
     @staticmethod
     def r_factor(q, g):
@@ -159,7 +147,7 @@ class TestQrPositive:
         assert type(q) is np.ndarray
         UnitaryView(q)  # the certificate its sampler runs
         r = self.r_factor(q, g)
-        assert hs_norm(q @ r - g) <= 1e-12 * hs_norm(g)
+        assert np.linalg.norm(q @ r - g) <= 1e-12 * np.linalg.norm(g)
         d = np.diagonal(r)
         assert np.all(d.real > 0)
         assert np.allclose(d.imag, 0, atol=1e-14)
@@ -185,7 +173,7 @@ class TestEigHermitian:
             a = random_hermitian(rng, 6)
             vals = eig_hermitian(a).atoms
             assert np.sum(vals) == pytest.approx(np.trace(a.entries).real, rel=1e-9)
-            assert np.sum(vals**2) == pytest.approx(hs_norm(a.entries) ** 2, rel=1e-9)
+            assert np.sum(vals**2) == pytest.approx(np.linalg.norm(a.entries) ** 2, rel=1e-9)
 
 
 class TestRitzBounds:

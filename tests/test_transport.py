@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 from speclab.ensembles import ENSEMBLES, EnsembleTag, gue_wigner
 from speclab.errors import ContractError, SizeGuardError
-from speclab.matlin import eig_hermitian, hs_norm
+from speclab.matlin import eig_hermitian
 from speclab.measures import EmpiricalMeasureCircle, EmpiricalMeasureLine
 from speclab.rng import StreamKey
 from speclab.transport import (
     assignment_oracle,
-    chordal_distance,
     geodesic_distance,
     line_distance,
     semicircle_cdf,
@@ -332,6 +331,12 @@ class TestCirclePair:
             assert dac <= dab + dbc + 1e-9
 
 
+def chordal_distance(theta, phi):
+    """|e^{i theta} - e^{i phi}| = 2 sin(geodesic/2): a ground metric of the
+    caller's own for assignment_oracle."""
+    return 2.0 * np.sin(geodesic_distance(theta, phi) / 2.0)
+
+
 ANGLES = st.floats(0.0, TWO_PI, exclude_max=True)
 REALS = st.floats(-50, 50)
 
@@ -377,7 +382,7 @@ class TestHoffmanWielandtChain:
             mb = eig_hermitian(b)
             d1 = wp_line(ma, mb, 1.0)
             d2 = wp_line(ma, mb, 2.0)
-            bound = hs_norm(a.entries - b.entries) / np.sqrt(n)
+            bound = np.linalg.norm(a.entries - b.entries) / np.sqrt(n)
             assert d1 <= d2 + 1e-10
             assert d2 <= bound + 1e-10
 
