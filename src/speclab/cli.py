@@ -6,9 +6,10 @@ error.  Commands refuse by raising: ``main`` alone prints the one
 ``error: <message>`` line, and exits 2 for a ``UsageError`` and 1 for any
 other ``SpeclabError`` or a ``MemoryError``.
 
-``experiments``, and with it the process pool, is imported only inside the
-commands that run plans or property suites (``experiment`` and ``verify``),
-so ``sample``, ``distance`` and ``manifest-check`` do not pay for it.
+The three property suites of ``verify`` live here, each a function of
+(trials, seed) that returns its count of violations.  Only ``experiment``
+imports ``experiments``, and with it the process pool, so the other commands
+do not pay for it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .ensembles import ENSEMBLES, MAX_DIMENSION, EnsembleTag, _j_times
+from .ensembles import (ENSEMBLES, MAX_DIMENSION, EnsembleTag, _j_times, haar_unitary,
+                        randomized_sum, randomized_sum_factors)
 from .errors import SpeclabError, ContractError
-from .matlin import eig_unitary_angles, hold_heap
+from .matlin import _weyl_violation, eig_hermitian, eig_unitary_angles, hold_heap
 from .measures import TWO_PI, EmpiricalMeasureCircle, EmpiricalMeasureLine, widest_gap_middle
-from .rng import StreamKey
+from .rng import StreamKey, subkey
 from .transport import (
     ORACLE_MAX_ATOMS,
     assignment_oracle,
@@ -411,13 +413,38 @@ def _verify_group_membership(trials: int, seed: int) -> int:
 
 
 def _verify_lipschitz(trials: int, seed: int) -> int:
-    """The Lipschitz suite's violations; any are reported per inequality on stderr."""
-    from .experiments import run_lipschitz_suite
+    """Check four theorems on random instances at n <= 16, each up to a slack
+    of 1e-8: the spectral-measure bound d2(mu_A, mu_B) <= n^{-1/2} ||A - B||,
+    the conjugation bound ||U A U* - V A V*|| <= delta(A) ||U - V||, with
+    delta(A) the spectral diameter, the same bound on a k x k compression,
+    and Weyl containment for U A U* + B.  Any violation is an implementation
+    bug; when there are any, stderr gets the count of each inequality."""
+    slack = 1e-8
+    sizes = StreamKey(seed, "lipschitz_suite/sizes", 16).generator()
+    hw = conj = comp = weyl = 0
+    for t in range(trials):
+        n = int(sizes.integers(2, 17))
+        key = StreamKey(seed, "lipschitz_suite", n, t)
+        a, b, u = randomized_sum_factors(n, key)
+        v = haar_unitary(n, subkey(key, "v"))
 
-    report = run_lipschitz_suite(trials, 16, seed)
-    if report.total:
-        print(f"lipschitz: {report}", file=sys.stderr)
-    return report.total
+        ma, mb = eig_hermitian(a), eig_hermitian(b)
+        ea, eb = ma.atoms, mb.atoms
+        hw += wp_line(ma, mb, 2.0) > np.linalg.norm(a.entries - b.entries) / np.sqrt(n) + slack
+
+        bound = (ea[-1] - ea[0]) * np.linalg.norm(u.entries - v.entries) + slack
+        uau = u.entries @ a.entries @ u.entries.conj().T
+        vav = v.entries @ a.entries @ v.entries.conj().T
+        conj += np.linalg.norm(uau - vav) > bound
+        k = int(sizes.integers(1, n + 1))
+        comp += np.linalg.norm(uau[:k, :k] - vav[:k, :k]) > bound
+
+        weyl += _weyl_violation(ea, eb, eig_hermitian(randomized_sum(a, b, u)).atoms, slack)
+    total = int(hw + conj + comp + weyl)
+    if total:
+        print(f"lipschitz: hw={hw} conjugation={conj} compression={comp} weyl={weyl}",
+              file=sys.stderr)
+    return total
 
 
 # each suite maps (trials, seed) to its count of violations

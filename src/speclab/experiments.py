@@ -1,7 +1,6 @@
 """Declarative Monte-Carlo experiments.  One run of a plan gives one
 ``RateExperimentResult``: the mean-distance rate, the concentration tails and
 the trace-moment estimates, rendered by its ``summary()`` as summary.json.
-Beside it sits the Lipschitz/containment inequality suite.
 
 Every experiment maps one cell kernel over its (n, replicate) stream keys,
 in one process pool at most, and reduces the cells in key order, so results
@@ -25,15 +24,14 @@ from .ensembles import (
     ENSEMBLES,
     MAX_DIMENSION,
     EnsembleTag,
-    haar_unitary,
     randomized_sum,
     randomized_sum_factors,
     sample_compression,
 )
 from .errors import ContractError, SpeclabError
-from .matlin import HermitianView, eig_hermitian, hold_heap, ritz_bounds
+from .matlin import HermitianView, _weyl_violation, eig_hermitian, hold_heap, ritz_bounds
 from .measures import EmpiricalMeasureLine
-from .rng import StreamKey, subkey
+from .rng import StreamKey
 from .transport import w1_circle_uniform, wp_line
 
 Z95 = 1.959963984540054  # the normal 97.5% quantile: two-sided 95% intervals
@@ -296,12 +294,6 @@ def _d1_to_pooled(sample: EmpiricalMeasureLine, pooled: EmpiricalMeasureLine) ->
     return wp_line(sample, pooled, 1.0)
 
 
-def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray, slack: float) -> bool:
-    """Whether the sorted spectrum em of U A U* + B escapes the Weyl interval
-    [min(A)+min(B), max(A)+max(B)] by more than slack."""
-    return not (em[0] >= ea[0] + eb[0] - slack and em[-1] <= ea[-1] + eb[-1] + slack)
-
-
 def _weyl_record(a: HermitianView, b: HermitianView, em: np.ndarray) -> float:
     """The ``weyl_violation`` record, 1.0 or 0.0, of a measured cell whose
     sum U A U* + B has the sorted spectrum em.
@@ -469,53 +461,3 @@ def run_rate_experiment(plan: ExperimentPlan, workers: int = 1) -> RateExperimen
         warnings.append("fewer than 3 grid points: rate fit omitted")
     return RateExperimentResult(plan, tuple(summaries), fit, tuple(records), tuple(warnings),
                                 tuple(tails), std_fit, tuple(moments))
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    trials: int
-    hw_violations: int          # d2(mu_A, mu_B) <= n^{-1/2} ||A - B||_HS
-    conjugation_violations: int  # ||U A U* - V A V*|| <= delta(A) ||U - V||
-    compression_violations: int  # compressed version of the conjugation bound
-    weyl_violations: int         # spectrum containment for U A U* + B
-
-    @property
-    def total(self) -> int:
-        return (self.hw_violations + self.conjugation_violations
-                + self.compression_violations + self.weyl_violations)
-
-
-def run_lipschitz_suite(trials: int, n_max: int, seed: int, slack: float = 1e-8) -> LipschitzReport:
-    """Check the spectral-measure Lipschitz bound, the conjugation and
-    compression Lipschitz bounds, and Weyl containment on random instances.
-    All four are theorems; any violation indicates an implementation bug."""
-    if n_max > 32:
-        raise ContractError("suite is sized for n_max <= 32")
-    sizes = StreamKey(seed, "lipschitz_suite/sizes", n_max).generator()
-    hw = conj = comp = weyl = 0
-    for t in range(trials):
-        n = int(sizes.integers(2, n_max + 1))
-        key = StreamKey(seed, "lipschitz_suite", n, t)
-        a, b, u = randomized_sum_factors(n, key)
-        v = haar_unitary(n, subkey(key, "v"))
-
-        ma, mb = eig_hermitian(a), eig_hermitian(b)
-        ea, eb = ma.atoms, mb.atoms
-        d2 = wp_line(ma, mb, 2.0)
-        if d2 > np.linalg.norm(a.entries - b.entries) / math.sqrt(n) + slack:
-            hw += 1
-
-        delta = ea[-1] - ea[0]  # the spectral diameter of A
-        uv = np.linalg.norm(u.entries - v.entries)
-        uau = u.entries @ a.entries @ u.entries.conj().T
-        vav = v.entries @ a.entries @ v.entries.conj().T
-        if np.linalg.norm(uau - vav) > delta * uv + slack:
-            conj += 1
-
-        k = int(sizes.integers(1, n + 1))
-        if np.linalg.norm(uau[:k, :k] - vav[:k, :k]) > delta * uv + slack:
-            comp += 1
-
-        if _weyl_violation(ea, eb, eig_hermitian(randomized_sum(a, b, u)).atoms, slack):
-            weyl += 1
-    return LipschitzReport(trials, hw, conj, comp, weyl)

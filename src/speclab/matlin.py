@@ -1,5 +1,6 @@
 """Dense linear algebra: norms, QR with positive diagonal, Hermitian and
-unitary eigendecompositions, and Ritz inner bounds on a Hermitian spectrum.
+unitary eigendecompositions, Ritz inner bounds on a Hermitian spectrum, and
+the Weyl containment rule for the spectrum of U A U* + B.
 
 The matrix views are immutable after construction and safe to share between
 threads; their constructor checks make the Hermitian/unitary assumptions
@@ -141,6 +142,12 @@ def ritz_bounds(a: HermitianView) -> tuple[float, float]:
     q = np.linalg.qr(krylov)[0]
     theta = np.linalg.eigvalsh(q.conj().T @ (h @ q))
     return float(theta[0]), float(theta[-1])
+
+
+def _weyl_violation(ea: np.ndarray, eb: np.ndarray, em: np.ndarray, slack: float) -> bool:
+    """Whether the sorted spectrum em of U A U* + B escapes the Weyl interval
+    [min(A)+min(B), max(A)+max(B)] by more than slack."""
+    return not (em[0] >= ea[0] + eb[0] - slack and em[-1] <= ea[-1] + eb[-1] + slack)
 
 
 def qr_positive(g: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from speclab.cli import main as cli_main
 from speclab.ensembles import ENSEMBLES, EnsembleTag, gue_wigner
 from speclab.experiments import (
     ExperimentPlan,
-    run_lipschitz_suite,
     run_rate_experiment,
 )
 from speclab.matlin import eig_hermitian, eig_unitary_angles
@@ -69,8 +68,9 @@ def test_criterion_01_transport_exactness():
 
 
 def test_criterion_02_lipschitz_suite():
-    result = run_lipschitz_suite(trials=1000, n_max=16, seed=SEED, slack=1e-8)
-    report(2, "lipschitz suite", result.trials == 1000 and result.total == 0)
+    # 1,000 instances at n <= 16, each inequality checked up to a slack of 1e-8
+    code = cli_main(["verify", "--suite", "lipschitz", "--trials", "1000", "--seed", str(SEED)])
+    report(2, "lipschitz suite", code == 0)
 
 
 def test_criterion_03_moment_identities():

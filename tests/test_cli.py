@@ -878,13 +878,21 @@ class TestVerify:
         assert (code, out, err) == (1, "group-membership: 20 violations\n", "")
 
     def test_failing_lipschitz_reports_each_inequality_on_stderr(self, capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "wp_line", lambda a, b, p: 1e9)
+        monkeypatch.setattr(cli, "wp_line", lambda a, b, p: 1e9)
         code, out, err = run_cli(capsys, "verify", "--suite", "lipschitz",
                                  "--trials", "20", "--seed", "3")
         assert (code, out) == (1, "lipschitz: 20 violations\n")
-        assert err == ("lipschitz: LipschitzReport(trials=20, hw_violations=20, "
-                       "conjugation_violations=0, compression_violations=0, "
-                       "weyl_violations=0)\n")
+        assert err == "lipschitz: hw=20 conjugation=0 compression=0 weyl=0\n"
+
+    def test_sum_outside_the_weyl_interval_counts_only_weyl(self, capsys, monkeypatch):
+        # U A U* + B + 10 I: every spectrum moves up by 10, out of the Weyl interval
+        exact = cli.randomized_sum
+        monkeypatch.setattr(cli, "randomized_sum", lambda a, b, u: matlin.HermitianView(
+            exact(a, b, u).entries + 10.0 * np.eye(a.dim)))
+        code, out, err = run_cli(capsys, "verify", "--suite", "lipschitz",
+                                 "--trials", "20", "--seed", "3")
+        assert (code, out) == (1, "lipschitz: 20 violations\n")
+        assert err == "lipschitz: hw=0 conjugation=0 compression=0 weyl=20\n"
 
 
 def cli_nodes_outside_main() -> list:
@@ -1110,6 +1118,9 @@ IMPORT_GUARD = textwrap.dedent("""
         json.dump(manifest, fh)
     assert cli.main(["manifest-check", run]) == 0
     loaded["manifest-check"] = modules()
+    for suite in ("lipschitz", "group-membership"):
+        assert cli.main(["verify", "--suite", suite, "--trials", "5"]) == 0
+    loaded["verify"] = modules()
     with open(os.path.join(out, "plan.json"), "w") as fh:
         json.dump({"ensemble": "unitary", "n_grid": [2, 3, 4], "replicates": 2,
                    "seed": 1}, fh)
@@ -1136,8 +1147,8 @@ IMPORT_GUARD = textwrap.dedent("""
 @pytest.fixture(scope="module")
 def modules_loaded_by_command(tmp_path_factory):
     """The watched modules in sys.modules after each command of one fresh
-    interpreter: import, sample, distance, manifest-check, experiment, then
-    distance --reference semicircle."""
+    interpreter: import, sample, distance, manifest-check, verify, experiment,
+    then distance --reference semicircle."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -1157,7 +1168,8 @@ def test_cli_commands_load_no_scipy(modules_loaded_by_command):
     loaded.pop("distance-semicircle")
     assert {command: (m["scipy"], m["importlib_metadata"]) for command, m in loaded.items()} == {
         command: ([], False)
-        for command in ("import", "sample", "distance", "manifest-check", "experiment")}
+        for command in ("import", "sample", "distance", "manifest-check", "verify",
+                        "experiment")}
 
 
 def test_semicircle_distance_loads_only_the_quadpack_extension(modules_loaded_by_command):
@@ -1172,13 +1184,14 @@ def test_semicircle_distance_loads_only_the_quadpack_extension(modules_loaded_by
 
 
 def test_one_shot_commands_load_no_experiment_stack(modules_loaded_by_command):
-    # sample, distance and manifest-check run no plan: they must not pay for
-    # importing experiments and the process pool behind it
+    # sample, distance, manifest-check and verify run no plan: they must not pay
+    # for importing experiments and the process pool behind it
     stack = {command: loaded["experiment_stack"] for command, loaded
              in modules_loaded_by_command.items()}
     assert "speclab.experiments" in stack.pop("experiment")
     stack.pop("distance-semicircle")  # runs after experiment
-    assert stack == {"import": [], "sample": [], "distance": [], "manifest-check": []}
+    assert stack == {"import": [], "sample": [], "distance": [], "manifest-check": [],
+                     "verify": []}
 
 
 def test_import_loads_no_numpy_random(modules_loaded_by_command):

@@ -15,11 +15,10 @@ from speclab.experiments import (
     ExperimentPlan,
     _d1_to_pooled,
     fit_loglog,
-    run_lipschitz_suite,
     run_rate_experiment,
     wilson_interval,
 )
-from speclab.matlin import HermitianView, UnitaryView, eig_hermitian, hold_heap
+from speclab.matlin import HermitianView, UnitaryView, _weyl_violation, eig_hermitian, hold_heap
 from speclab.measures import EmpiricalMeasureLine
 from speclab.rng import StreamKey
 from speclab.transport import wp_line
@@ -270,7 +269,7 @@ class TestRateExperiment:
                 ea, eb = eig_hermitian(a).atoms, eig_hermitian(b).atoms
                 em = eig_hermitian(randomized_sum(a, b, u)).atoms
                 slack = 1e-8 * (max(abs(ea[0]), abs(ea[-1])) + max(abs(eb[0]), abs(eb[-1])))
-                assert rec.value == float(experiments._weyl_violation(ea, eb, em, slack))
+                assert rec.value == float(_weyl_violation(ea, eb, em, slack))
 
     def test_line_rate_pins(self):
         # perfbench's line_rate workload pins every d1 of this plan's n = 16..128
@@ -431,20 +430,6 @@ class TestWeylCell:
         assert cell["spectrum"].atoms[-1] == 16.0
         assert cell["weyl_violation"] == 0.0
         assert solves == [8, 8, 8]
-
-
-class TestLipschitzSuite:
-    def test_no_violations_small_run(self):
-        report = run_lipschitz_suite(trials=100, n_max=12, seed=SEED)
-        assert report.trials == 100
-        assert report.total == 0
-
-    def test_report_fields(self):
-        report = run_lipschitz_suite(trials=10, n_max=8, seed=SEED)
-        assert report.hw_violations == 0
-        assert report.conjugation_violations == 0
-        assert report.compression_violations == 0
-        assert report.weyl_violations == 0
 
 
 def d1_by_repetition(sample, pooled):
